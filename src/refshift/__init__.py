@@ -10,6 +10,7 @@ Subpackages:
 - lawvere: Cantor/Lawvere diagonal arguments over explicit finite sets;
 - fixpoint: a free applicative algebra where every term has a fixed point;
 - reflexive: categories from knot and link arc tables;
+- runs: the run-length text shared by printed words and formulas;
 - cli: the command-line front door.
 """
 

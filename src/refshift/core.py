@@ -16,7 +16,6 @@ equality after normalization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -32,12 +31,9 @@ from .errors import (
     NotTwoCategory,
     RewriteBudgetExceeded,
 )
+from .runs import parse, parse_token, render, runs_of
 
 DEFAULT_REWRITE_BUDGET = 10_000
-
-# Runs shorter than this print literally (aa, ###g); longer runs compress
-# to name^count (#^6).
-_RLE_MIN = 4
 
 
 @dataclass(frozen=True)
@@ -105,10 +101,6 @@ class Word:
         return cls.from_generators(gens)
 
     @property
-    def is_identity(self) -> bool:
-        return not self.gens
-
-    @property
     def is_self_morphism(self) -> bool:
         return self.dom == self.cod
 
@@ -118,16 +110,7 @@ class Word:
     def __str__(self):
         if not self.gens:
             return f"1_{self.dom}"
-        pieces = []
-        for name, group in itertools.groupby(g.name for g in self.gens):
-            count = len(list(group))
-            if count >= _RLE_MIN:
-                pieces.append(f"{name}^{count}")
-            else:
-                pieces.extend([name] * count)
-        if all(len(p.split("^")[0]) == 1 for p in pieces):
-            return "".join(pieces)
-        return " ".join(pieces)
+        return render(runs_of(g.name for g in self.gens))
 
 
 @dataclass(frozen=True)
@@ -243,21 +226,12 @@ class Category:
             s = spec.strip()
             if s.startswith("1_"):
                 return self.identity(s[2:])
-            tokens = s.split()
-            if len(tokens) == 1 and "^" not in tokens[0] and not self.has_generator(tokens[0]):
-                tokens = list(tokens[0])  # juxtaposed single-character names
+            runs = parse(s, self.has_generator, InvalidDefinition)
         else:
-            tokens = list(spec)
+            runs = [parse_token(tok, InvalidDefinition) for tok in spec]
         gens: list[Generator] = []
-        for tok in tokens:
-            name, sep, count = tok.partition("^")
-            try:
-                n = int(count) if sep else 1
-            except ValueError:
-                raise InvalidDefinition(f"bad repetition count in {tok!r}") from None
-            if n < 1:
-                raise InvalidDefinition(f"bad repetition count in {tok!r}")
-            gens.extend([self.generator(name)] * n)
+        for name, count in runs:
+            gens.extend([self.generator(name)] * count)
         if not gens:
             raise InvalidDefinition("empty word spec; use 1_<object> for an identity")
         return Word.from_generators(gens)

@@ -179,11 +179,7 @@ def check_fixed_point(F: Term, r: Rewriter) -> bool:
     return reduce(t, r, 1).term == Apply(F, t)
 
 
-# --- parsing and printing ---
-
-
-def term_str(t: Term) -> str:
-    return str(t)
+# --- parsing ---
 
 
 def _tokenize(text: str) -> list[str]:

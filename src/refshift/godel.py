@@ -16,8 +16,6 @@ to the code of ~P(#x) this produces a formula that talks about its own code.
 
 from __future__ import annotations
 
-import itertools
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -31,51 +29,13 @@ from .errors import (
     NotComposable,
     NotSrt1Shape,
 )
+from .runs import check_runs, count_text, merge_runs, parse_glued, read_count, render, runs_of
 
 ALPHABET = "()~Px|#"
 CHAR_TO_DIGIT = {ch: i + 1 for i, ch in enumerate(ALPHABET)}
 DIGIT_TO_CHAR = {i + 1: ch for i, ch in enumerate(ALPHABET)}
 
 _MATERIALIZE_CAP = 10**6
-
-
-def _int_str(n: int) -> str:
-    """Decimal text of n, bypassing the interpreter's digit-count guard.
-
-    Run counts produced by self-substitution can have tens of thousands of
-    digits; they stay single integers here, but printing one trips the
-    default conversion limit, so lift it just for the conversion.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(n)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-
-def _merge_runs(runs):
-    """Fuse adjacent runs with equal keys; drops nothing, counts stay >= 1."""
-    out = []
-    for key, count in runs:
-        if count < 1:
-            raise InvalidSymbol(f"run count must be >= 1, got {count}")
-        if out and out[-1][0] == key:
-            out[-1] = (key, out[-1][1] + count)
-        else:
-            out.append((key, count))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class Token:
-    """One lexical token; only slash runs carry a count above 1."""
-
-    kind: str  # a character of the alphabet
-    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -86,18 +46,14 @@ class Formula:
 
     def __post_init__(self):
         object.__setattr__(self, "runs", tuple(tuple(r) for r in self.runs))
-        for ch, count in self.runs:
+        for ch, _ in self.runs:
             if ch not in CHAR_TO_DIGIT:
                 raise InvalidSymbol(f"symbol {ch!r} is not in the alphabet {ALPHABET}")
-            if count < 1:
-                raise InvalidSymbol(f"run count must be >= 1, got {count}")
-        for (a, _), (b, _) in zip(self.runs, self.runs[1:]):
-            if a == b:
-                raise InvalidSymbol("runs must be maximal: adjacent runs share a symbol")
+        check_runs(self.runs, InvalidSymbol)
 
     @classmethod
     def from_runs(cls, runs) -> "Formula":
-        return cls(_merge_runs(runs))
+        return cls(merge_runs(runs, InvalidSymbol))
 
     @property
     def length(self) -> int:
@@ -115,55 +71,23 @@ class Formula:
     def is_numeral(self) -> bool:
         return len(self.runs) == 1 and self.runs[0][0] == "|"
 
-    def tokens(self) -> list[Token]:
-        out = []
-        for ch, count in self.runs:
-            if ch == "|":
-                out.append(Token(ch, count))
-            else:
-                out.extend(Token(ch) for _ in range(count))
-        return out
-
     def text(self, cap: int = _MATERIALIZE_CAP) -> str:
         if self.length > cap:
             raise MaterializeTooLarge(f"formula has {self.length} symbols, cap is {cap}")
         return "".join(ch * count for ch, count in self.runs)
 
     def __str__(self):
-        pieces = []
-        for ch, count in self.runs:
-            pieces.append(ch * count if count <= 3 else f"{ch}^{_int_str(count)}")
-        return "".join(pieces)
+        return render(self.runs)
 
 
 def parse(text: str) -> Formula:
     """Tokenize plain alphabet text; every alphabet string is a formula."""
-    for ch in text:
-        if ch not in CHAR_TO_DIGIT:
-            raise InvalidSymbol(f"symbol {ch!r} is not in the alphabet {ALPHABET}")
-    return Formula(tuple((ch, len(list(grp))) for ch, grp in itertools.groupby(text)))
+    return Formula(runs_of(text))
 
 
 def parse_compact(text: str) -> Formula:
     """Parse display text that may compress runs as in "~P(#|^341752)"."""
-    runs: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch not in CHAR_TO_DIGIT:
-            raise InvalidSymbol(f"symbol {ch!r} is not in the alphabet {ALPHABET}")
-        i += 1
-        if i < len(text) and text[i] == "^":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise InvalidSymbol("'^' must be followed by a count")
-            runs.append((ch, int(text[i + 1 : j])))
-            i = j
-        else:
-            runs.append((ch, 1))
-    return Formula.from_runs(runs)
+    return Formula.from_runs(parse_glued(text, InvalidSymbol))
 
 
 def numeral(n: int) -> Formula:
@@ -183,28 +107,24 @@ class GodelNumber:
         object.__setattr__(self, "runs", tuple(tuple(r) for r in self.runs))
         if not self.runs:
             raise InvalidSymbol("a Goedel number has at least one digit")
-        for digit, count in self.runs:
+        for digit, _ in self.runs:
             if digit not in DIGIT_TO_CHAR:
                 raise InvalidSymbol(f"digit {digit} is outside the coding range 1-7")
-            if count < 1:
-                raise InvalidSymbol(f"run count must be >= 1, got {count}")
-        for (a, _), (b, _) in zip(self.runs, self.runs[1:]):
-            if a == b:
-                raise InvalidSymbol("runs must be maximal: adjacent runs share a digit")
+        check_runs(self.runs, InvalidSymbol)
 
     @classmethod
     def from_runs(cls, runs) -> "GodelNumber":
-        return cls(_merge_runs(runs))
+        return cls(merge_runs(runs, InvalidSymbol))
 
     @classmethod
     def from_int(cls, n: int) -> "GodelNumber":
         if n < 1:
             raise InvalidSymbol("Goedel numbers are positive")
-        return cls.from_digits(str(n))
+        return cls.from_digits(count_text(n))
 
     @classmethod
     def from_digits(cls, digits: str) -> "GodelNumber":
-        return cls(tuple((int(d), len(list(grp))) for d, grp in itertools.groupby(digits)))
+        return cls(tuple((int(d), count) for d, count in runs_of(digits)))
 
     @classmethod
     def from_wire(cls, text: str) -> "GodelNumber":
@@ -213,15 +133,13 @@ class GodelNumber:
         for tok in text.split():
             if "x" in tok:
                 digit, _, count = tok.partition("x")
-                if len(digit) != 1 or not digit.isdigit() or not count.isdigit():
+                if len(digit) != 1 or not digit.isdigit():
                     raise InvalidSymbol(f"bad run token {tok!r}; expected dxN")
-                runs.append((int(digit), int(count)))
+                runs.append((int(digit), read_count(count, tok, InvalidSymbol)))
             else:
                 if not tok.isdigit():
                     raise InvalidSymbol(f"bad digit token {tok!r}")
                 runs.extend((int(d), 1) for d in tok)
-        if not runs:
-            raise InvalidSymbol("empty number")
         return cls.from_runs(runs)
 
     @property
@@ -255,7 +173,7 @@ class GodelNumber:
                 if singles:
                     pieces.append("".join(singles))
                     singles = []
-                pieces.append(f"{digit}x{_int_str(count)}")
+                pieces.append(f"{digit}x{count_text(count)}")
         if singles:
             pieces.append("".join(singles))
         return " ".join(pieces)
@@ -309,8 +227,6 @@ def substitute(s: Formula, t: Formula) -> Formula:
                 runs.extend(t.runs)
         else:
             runs.append((ch, count))
-    if not runs:
-        return Formula(())
     return Formula.from_runs(runs)
 
 

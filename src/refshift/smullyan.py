@@ -32,11 +32,22 @@ def smullyan_pair() -> CategoricalPair:
     return CategoricalPair(_CATEGORY)
 
 
+class _MachineWord(Word):
+    """Prints as the literal machine string (P]]]], not P]^4); equal to the plain Word."""
+
+    def __eq__(self, other):
+        return isinstance(other, Word) and (
+            (self.gens, self.dom, self.cod) == (other.gens, other.dom, other.cod))
+
+    __hash__ = Word.__hash__
+
+    def __str__(self):
+        return "".join(g.name for g in self.gens) if self.gens else super().__str__()
+
+
 def word(s: str) -> Word:
     """The machine string s as a word of the Smullyan base category."""
-    if not s:
-        return Word.identity(_OBJECT)
-    return _CATEGORY.word(list(s))
+    return _MachineWord(tuple(_CATEGORY.generator(ch) for ch in s), _OBJECT, _OBJECT)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,13 @@ def test_iterate_simplest_final_line(capsys):
     assert out.splitlines()[-1] == "#^5 -> #^10"
 
 
+def test_iterate_reads_run_length_arrow(capsys):
+    # the compact text iterate prints (F#^8) must be accepted back as input
+    argv = ["iterate", "--base", "next-simplest", "--arrow", "F#^8 -> F", "--n", "1"]
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0
+
+
 def test_smullyan_report_final_line(capsys):
     code, out, _ = invoke(capsys, "smullyan", "report")
     assert code == 0

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from refshift import godel
 from refshift.godel import (
@@ -11,7 +11,6 @@ from refshift.godel import (
     FormalComposite,
     GodelNumber,
     Num,
-    Token,
     build_self_refuter,
     compose_morphisms,
     compose_numbers,
@@ -38,16 +37,16 @@ def gn(n: int) -> GodelNumber:
     return GodelNumber.from_int(n)
 
 
-# --- parsing and tokens ---
+# --- parsing ---
 
 
 def test_parse_worked_formula():
     f = parse("~P(x)")
-    assert f.tokens() == [Token("~"), Token("P"), Token("("), Token("x"), Token(")")]
+    assert f.runs == (("~", 1), ("P", 1), ("(", 1), ("x", 1), (")", 1))
 
 
 def test_parse_slash_run():
-    assert parse("|||").tokens() == [Token("|", 3)]
+    assert parse("|||").runs == (("|", 3),)
 
 
 def test_parse_empty():
@@ -139,6 +138,21 @@ def test_round_trip_both_ways(runs):
     assert decode(encode(f)) == f
     g = encode(f)
     assert encode(decode(g)) == g
+
+
+# counts past the interpreter's 4300-digit int/str limit must print and read back
+@given(formula_runs)
+@example([("~", 1), ("|", 10**5000 + 7), (")", 2)])
+def test_compact_text_round_trips(runs):
+    f = Formula(normalize_runs(runs))
+    assert parse_compact(str(f)) == f
+
+
+@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 1000)), min_size=1, max_size=8))
+@example([(3, 1), (6, 10**5000 + 7), (2, 1)])
+def test_wire_round_trips(runs):
+    g = GodelNumber(normalize_runs(runs))
+    assert GodelNumber.from_wire(g.wire()) == g
 
 
 # --- sharp and number composition ---

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from refshift import smullyan
 from refshift.smullyan import (
@@ -145,6 +145,7 @@ def test_make_truthful_reaches_fixed_point():
 
 
 @given(machine_strings, st.frozensets(machine_strings, max_size=6))
+@example("P]]]]", frozenset())  # a run of four must print literally, not as ]^4
 def test_arrow_matches_semantics(s, printable):
     arrow = reference_arrow(s)
     model = MachineModel(printable)
