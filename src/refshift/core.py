@@ -16,7 +16,9 @@ equality after normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     NotTwoCategory,
     RewriteBudgetExceeded,
 )
-from .runs import parse, parse_token, render, runs_of
+from .runs import parse, parse_token, render
 
 DEFAULT_REWRITE_BUDGET = 10_000
 
@@ -59,31 +61,44 @@ class Generator:
         return self.name
 
 
-@dataclass(frozen=True)
 class Word:
     """A chainable sequence of generators, outermost (last applied) first.
 
+    The sequence is stored as its maximal (generator, count) runs, so a word
+    like #^199990000 takes one run, and equality and hashing compare runs.
     The empty sequence is the identity of its object, so dom == cod is
-    required when there are no generators.
+    required when there are no generators.  Words are immutable.
     """
 
-    gens: tuple[Generator, ...]
-    dom: str
-    cod: str
+    __slots__ = ("_runs", "_dom", "_cod", "_len", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        if self.gens:
-            for left, right in zip(self.gens, self.gens[1:]):
-                if left.dom != right.cod:
-                    raise ChainMismatch(
-                        f"generators {left.name}:{left.dom}->{left.cod} and "
-                        f"{right.name}:{right.dom}->{right.cod} do not chain"
-                    )
-            if self.dom != self.gens[-1].dom or self.cod != self.gens[0].cod:
-                raise ChainMismatch("word endpoints do not match its generator sequence")
-        elif self.dom != self.cod:
-            raise ChainMismatch("the empty word is an identity and needs dom == cod")
+    runs = property(attrgetter("_runs"), doc="The maximal (generator, count) runs, outermost first.")
+    dom = property(attrgetter("_dom"))
+    cod = property(attrgetter("_cod"))
+
+    def __init__(self, gens: Iterable[Generator], dom: str, cod: str):
+        runs, length = _chained(zip(gens, repeat(1)), dom, cod)
+        self._store(runs, dom, cod, length)
+
+    def _store(self, runs: tuple, dom: str, cod: str, length: int):
+        self._runs = runs
+        self._dom = dom
+        self._cod = cod
+        self._len = length
+        self._hash = None
+
+    @classmethod
+    def _trusted(cls, runs: tuple, dom: str, cod: str, length: int) -> "Word":
+        """A word of runs the caller knows to be maximal and chained from dom to cod."""
+        word = object.__new__(cls)
+        word._store(runs, dom, cod, length)
+        return word
+
+    @classmethod
+    def from_runs(cls, runs, dom: str, cod: str) -> "Word":
+        """The word of (generator, count) runs; adjacent equal generators are merged."""
+        runs, length = _chained(runs, dom, cod)
+        return cls._trusted(runs, dom, cod, length)
 
     @classmethod
     def identity(cls, obj: str) -> "Word":
@@ -101,16 +116,83 @@ class Word:
         return cls.from_generators(gens)
 
     @property
+    def gens(self) -> tuple[Generator, ...]:
+        """The generators one by one; as long as the word, so meant for short words."""
+        out: list[Generator] = []
+        for g, count in self.runs:
+            out += [g] * count
+        return tuple(out)
+
+    @property
     def is_self_morphism(self) -> bool:
         return self.dom == self.cod
 
     def __len__(self):
-        return len(self.gens)
+        return self._len
+
+    def __eq__(self, other):
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self._runs == other._runs and self._dom == other._dom and self._cod == other._cod
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._runs, self._dom, self._cod))
+        return self._hash
+
+    def __repr__(self):
+        return f"Word(runs={self.runs!r}, dom={self.dom!r}, cod={self.cod!r})"
 
     def __str__(self):
-        if not self.gens:
+        if not self.runs:
             return f"1_{self.dom}"
-        return render(runs_of(g.name for g in self.gens))
+        return render((g.name, count) for g, count in self.runs)
+
+
+def _chained(runs, dom: str, cod: str) -> tuple[tuple, int]:
+    """Maximal runs of (generator, count) pairs, and their length.
+
+    Raises ChainMismatch where the word does not chain from dom to cod.  A
+    run of two or more copies chains only for a self-morphism, and adjacent
+    runs chain at one seam, so the check costs one step per run; the pair
+    it reports is the first a generator-by-generator scan would find.
+    """
+    out: list[tuple[Generator, int]] = []
+    length = 0
+    for g, count in runs:
+        if count < 1:
+            raise InvalidDefinition(f"run count must be >= 1, got {count}")
+        length += count
+        if out:
+            left, seen = out[-1]
+            if _same(g, left):
+                if g.dom != g.cod:
+                    _no_chain(g, g)
+                out[-1] = (left, seen + count)
+                continue
+            if left.dom != g.cod:
+                _no_chain(left, g)
+        if count > 1 and g.dom != g.cod:
+            _no_chain(g, g)
+        out.append((g, count))
+    if out:
+        if dom != out[-1][0].dom or cod != out[0][0].cod:
+            raise ChainMismatch("word endpoints do not match its generator sequence")
+    elif dom != cod:
+        raise ChainMismatch("the empty word is an identity and needs dom == cod")
+    return tuple(out), length
+
+
+def _same(a: Generator, b: Generator) -> bool:
+    """Generator equality, with the usual unequal case decided by name alone."""
+    return a is b or (a.name == b.name and a == b)
+
+
+def _no_chain(left: Generator, right: Generator):
+    raise ChainMismatch(
+        f"generators {left.name}:{left.dom}->{left.cod} and "
+        f"{right.name}:{right.dom}->{right.cod} do not chain"
+    )
 
 
 @dataclass(frozen=True)
@@ -142,8 +224,12 @@ class RewriteRule:
         size = len(self.pattern)
         if pos + size > len(gens):
             return None
+        repl = self.rewrite(gens[pos : pos + size], cat)
+        return None if repl is None else gens[:pos] + repl + gens[pos + size :]
+
+    def rewrite(self, segment, cat: "Category"):
+        """The replacement tuple for a pattern-long segment, or None if no match/progress."""
         binding: dict[str, Generator] = {}
-        segment = gens[pos : pos + size]
         for tok, gen in zip(self.pattern, segment):
             if tok.startswith("?"):
                 seen = binding.get(tok)
@@ -161,9 +247,10 @@ class RewriteRule:
                 repl.append(binding[tok])
             else:
                 repl.append(cat.generator(tok))
-        if tuple(repl) == segment:
+        repl = tuple(repl)
+        if repl == tuple(segment):
             return None  # no progress; keeps identity-shaped rules terminating
-        return gens[:pos] + tuple(repl) + gens[pos + size :]
+        return repl
 
     def __str__(self):
         return f"{' '.join(self.pattern)} => {' '.join(self.replacement) or '1'}"
@@ -177,13 +264,20 @@ class Category:
     generators: tuple[Generator, ...]
     rules: tuple[RewriteRule, ...] = ()
     rewrite_budget: int = DEFAULT_REWRITE_BUDGET
+    # built in __post_init__: name -> generators of that name, object -> its sharp,
+    # name -> the rules whose pattern may start with it, and the rules starting with "?v"
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _sharps: dict = field(init=False, repr=False, compare=False)
+    _starts: dict = field(init=False, repr=False, compare=False)
+    _wild: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", frozenset(self.objects))
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "rules", tuple(self.rules))
+        by_name: dict[str, list[Generator]] = {}
+        sharps: dict[str, Generator] = {}
         seen = set()
-        sharps = set()
         for g in self.generators:
             if g.dom not in self.objects or g.cod not in self.objects:
                 raise InvalidDefinition(f"generator {g.name}: {g.dom} -> {g.cod} uses unknown objects")
@@ -191,13 +285,23 @@ class Category:
             if key in seen:
                 raise InvalidDefinition(f"duplicate generator {g.name}: {g.dom} -> {g.cod}")
             seen.add(key)
+            by_name.setdefault(g.name, []).append(g)
             if g.is_sharp:
                 if g.dom in sharps:
                     raise InvalidDefinition(f"object {g.dom} has more than one sharp generator")
-                sharps.add(g.dom)
+                sharps[g.dom] = g
+        wild = tuple(rule for rule in self.rules if rule.pattern[0].startswith("?"))
+        starts = {
+            name: tuple(rule for rule in self.rules if rule.pattern[0] == name or rule in wild)
+            for name in by_name
+        }
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_sharps", sharps)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_wild", wild)
 
     def generator(self, name: str) -> Generator:
-        found = [g for g in self.generators if g.name == name]
+        found = self._by_name.get(name)
         if not found:
             raise InvalidDefinition(f"unknown generator {name!r}")
         if len(found) > 1:
@@ -205,13 +309,10 @@ class Category:
         return found[0]
 
     def has_generator(self, name: str) -> bool:
-        return any(g.name == name for g in self.generators)
+        return name in self._by_name
 
     def sharp_at(self, obj: str):
-        for g in self.generators:
-            if g.is_sharp and g.dom == obj:
-                return g
-        return None
+        return self._sharps.get(obj)
 
     def identity(self, obj: str) -> Word:
         if obj not in self.objects:
@@ -229,37 +330,45 @@ class Category:
             runs = parse(s, self.has_generator, InvalidDefinition)
         else:
             runs = [parse_token(tok, InvalidDefinition) for tok in spec]
-        gens: list[Generator] = []
-        for name, count in runs:
-            gens.extend([self.generator(name)] * count)
-        if not gens:
+        if not runs:
             raise InvalidDefinition("empty word spec; use 1_<object> for an identity")
-        return Word.from_generators(gens)
+        runs = [(self.generator(name), count) for name, count in runs]
+        return Word.from_runs(runs, runs[-1][0].dom, runs[0][0].cod)
 
     def normalize(self, w: Word) -> Word:
-        """Exhaustive leftmost rewriting under this category's rules."""
+        """Exhaustive leftmost rewriting under this category's rules.
+
+        A rewrite at pos leaves every window that ends before pos as it
+        was, and none of those matched, so the search for the next leftmost
+        redex resumes at pos - (longest pattern - 1) instead of at 0.  At
+        each position only the rules whose pattern can start with that
+        generator's name are tried, in their order.
+        """
         if not self.rules:
             return w
-        gens = w.gens
+        gens = list(w.gens)
+        reach = max(len(rule.pattern) for rule in self.rules) - 1
         steps = 0
-        while True:
-            applied = None
-            for pos in range(len(gens)):
-                for rule in self.rules:
-                    candidate = rule.apply_at(gens, pos, self)
-                    if candidate is not None:
-                        applied = candidate
+        pos = 0
+        while pos < len(gens):
+            for rule in self._starts.get(gens[pos].name, self._wild):
+                size = len(rule.pattern)
+                if pos + size <= len(gens):
+                    repl = rule.rewrite(gens[pos : pos + size], self)
+                    if repl is not None:
                         break
-                if applied is not None:
-                    break
-            if applied is None:
-                break
+            else:
+                pos += 1
+                continue
             steps += 1
             if steps > self.rewrite_budget:
                 raise RewriteBudgetExceeded(
                     f"normalization of {w} exceeded the budget of {self.rewrite_budget} steps"
                 )
-            gens = applied
+            gens[pos : pos + size] = repl
+            pos = max(0, pos - reach)
+        if not steps:
+            return w
         try:
             return Word(gens, w.dom, w.cod)
         except ChainMismatch as exc:
@@ -300,7 +409,7 @@ class CategoricalPair:
             for word in (arrow.src, arrow.dst):
                 if word.dom not in self.base.objects or word.cod not in self.base.objects:
                     raise InvalidDefinition(f"arrow {arrow} uses objects outside the base category")
-                if any(g not in gens for g in word.gens):
+                if any(g not in gens for g, _ in word.runs):
                     raise InvalidDefinition(f"arrow {arrow} uses generators outside the base category")
 
     @property
@@ -361,13 +470,24 @@ class ShiftSequence:
         return self.arrows[-1]
 
 
-def compose(cat: Category, f: Word, g: Word) -> Word:
-    """The word fg ("f after g"), normalized; requires cod(g) == dom(f)."""
+def concat(f: Word, g: Word) -> Word:
+    """The free composite fg ("f after g"), not normalized; requires cod(g) == dom(f)."""
     if f.dom != g.cod:
         raise ChainMismatch(
             f"cannot compose {f} after {g}: codomain {g.cod} does not match domain {f.dom}"
         )
-    return cat.normalize(Word(f.gens + g.gens, g.dom, f.cod))
+    # both words chain and meet at f.dom == g.cod, so only the seam can merge
+    left, right = f.runs, g.runs
+    if left and right and _same(left[-1][0], right[0][0]):
+        runs = left[:-1] + ((left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
+    else:
+        runs = left + right
+    return Word._trusted(runs, g.dom, f.cod, f._len + g._len)
+
+
+def compose(cat: Category, f: Word, g: Word) -> Word:
+    """The word fg ("f after g"), normalized; requires cod(g) == dom(f)."""
+    return cat.normalize(concat(f, g))
 
 
 def is_composable_reference(pair: CategoricalPair, r: RefArrow) -> bool:
@@ -410,8 +530,8 @@ def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
 
     The final arrow has the shape (h -> Fh) with h = #g.
     """
-    dst = r.dst
-    if not dst.gens or not dst.gens[-1].is_sharp or dst.gens[-1].dom != r.src.cod:
+    last = r.dst.runs[-1][0] if r.dst.runs else None
+    if last is None or not last.is_sharp or last.dom != r.src.cod:
         raise NotSrt1Shape(
             f"{r} does not end in the sharp of {r.src.cod!r}; expected a target of shape F#"
         )

@@ -133,11 +133,11 @@ class GodelNumber:
         for tok in text.split():
             if "x" in tok:
                 digit, _, count = tok.partition("x")
-                if len(digit) != 1 or not digit.isdigit():
+                if len(digit) != 1 or not (digit.isascii() and digit.isdigit()):
                     raise InvalidSymbol(f"bad run token {tok!r}; expected dxN")
                 runs.append((int(digit), read_count(count, tok, InvalidSymbol)))
             else:
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):  # isdigit() alone also takes '²'
                     raise InvalidSymbol(f"bad digit token {tok!r}")
                 runs.extend((int(d), 1) for d in tok)
         return cls.from_runs(runs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Category, Generator, Word
+from .core import Category, Generator, Word, concat
 from .errors import DanglingArc, InvalidDefinition
 
 
@@ -95,15 +95,10 @@ def enumerate_composites(cat, max_len: int) -> set[Word]:
     if max_len < 1:
         raise InvalidDefinition("max_len must be at least 1")
     core = _core_category(cat)
-    gens = [g for g in core.generators if not g.is_sharp]
-    frontier = [Word.of(g) for g in gens]
+    singles = [Word.of(g) for g in core.generators if not g.is_sharp]
+    frontier = singles
     words: set[Word] = set(frontier)
     for _ in range(max_len - 1):
-        frontier = [
-            Word.from_generators(w.gens + (g,))
-            for w in frontier
-            for g in gens
-            if g.cod == w.dom
-        ]
+        frontier = [concat(w, g) for w in frontier for g in singles if g.cod == w.dom]
         words.update(frontier)
     return words

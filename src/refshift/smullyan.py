@@ -35,19 +35,15 @@ def smullyan_pair() -> CategoricalPair:
 class _MachineWord(Word):
     """Prints as the literal machine string (P]]]], not P]^4); equal to the plain Word."""
 
-    def __eq__(self, other):
-        return isinstance(other, Word) and (
-            (self.gens, self.dom, self.cod) == (other.gens, other.dom, other.cod))
-
-    __hash__ = Word.__hash__
+    __slots__ = ()
 
     def __str__(self):
-        return "".join(g.name for g in self.gens) if self.gens else super().__str__()
+        return "".join(g.name * count for g, count in self.runs) if self.runs else super().__str__()
 
 
 def word(s: str) -> Word:
     """The machine string s as a word of the Smullyan base category."""
-    return _MachineWord(tuple(_CATEGORY.generator(ch) for ch in s), _OBJECT, _OBJECT)
+    return _MachineWord(map(_CATEGORY.generator, s), _OBJECT, _OBJECT)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,15 @@ def test_domain_error_exit_code(capsys):
     assert payload["result"]["code"] == "not-srt1-shape"
 
 
+def test_godel_decode_rejects_non_ascii_digits(capsys):
+    # str.isdigit() accepts '²' and '٣'; the wire format takes ASCII 0-9 only
+    for token in ("²", "٣x4", "12 ٣"):
+        code, payload, _ = invoke_json(capsys, "godel-decode", *token.split())
+        assert code == 1
+        assert payload["status"] == "error"
+        assert payload["result"]["code"] == "invalid-symbol"
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2

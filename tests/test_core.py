@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -575,3 +576,164 @@ def test_derivation_json_schema():
         assert set(step) == {"rule", "src_word", "dst_word", "note"}
     assert data["steps"][-1]["src_word"] == "#R"
     assert data["steps"][-1]["dst_word"] == "~#R"
+
+
+# --- run-length words ---
+
+# X and Y with self-morphisms s, t (and the sharps) plus f: X -> Y and h: Y -> X
+RUN_PAIR = category_from_digraph(
+    ["X", "Y"], [("s", "X", "X"), ("t", "Y", "Y"), ("f", "X", "Y"), ("h", "Y", "X")]
+)
+
+
+@st.composite
+def chainable_gens(draw):
+    """A word's endpoints and a generator sequence, outermost first, that chains."""
+    cat = RUN_PAIR.base
+    cod = draw(st.sampled_from(sorted(cat.objects)))
+    gens, obj = [], cod
+    for _ in range(draw(st.integers(0, 12))):
+        g = draw(st.sampled_from([g for g in cat.generators if g.cod == obj]))
+        gens.append(g)
+        obj = g.dom
+    return tuple(gens), obj, cod
+
+
+def _fresh(gens):
+    """Equal generators that are distinct objects."""
+    return tuple(Generator(g.name, g.dom, g.cod, g.is_sharp) for g in gens)
+
+
+@given(chainable_gens(), chainable_gens())
+def test_run_words_agree_with_generator_tuples(left, right):
+    (gens, dom, cod), (other, odom, ocod) = left, right
+    word = Word(gens, dom, cod)
+    assert word.gens == gens and len(word) == len(gens)
+    assert sum(count for _, count in word.runs) == len(gens)
+    assert all(a != b for (a, _), (b, _) in zip(word.runs, word.runs[1:]))  # maximal runs
+    assert Word.from_runs([(g, 1) for g in gens], dom, cod) == word
+    twin = Word(_fresh(gens), dom, cod)
+    assert twin == word and hash(twin) == hash(word) and twin.runs == word.runs
+    assert pickle.loads(pickle.dumps(word)) == word
+    with pytest.raises(AttributeError):
+        word.runs = ()
+    same = (gens, dom, cod) == (other, odom, ocod)
+    assert (Word(other, odom, ocod) == word) == same
+    if same:
+        assert hash(Word(other, odom, ocod)) == hash(word)
+
+
+def _scan_error(gens, dom, cod):
+    """The ChainMismatch message of a generator-by-generator check, or None."""
+    for left, right in zip(gens, gens[1:]):
+        if left.dom != right.cod:
+            return (f"generators {left.name}:{left.dom}->{left.cod} and "
+                    f"{right.name}:{right.dom}->{right.cod} do not chain")
+    if gens and (dom != gens[-1].dom or cod != gens[0].cod):
+        return "word endpoints do not match its generator sequence"
+    if not gens and dom != cod:
+        return "the empty word is an identity and needs dom == cod"
+    return None
+
+
+@given(
+    st.lists(st.sampled_from(RUN_PAIR.base.generators), max_size=8),
+    st.sampled_from(["X", "Y"]),
+    st.sampled_from(["X", "Y"]),
+)
+def test_run_chain_check_matches_generator_scan(gens, dom, cod):
+    gens = tuple(gens)
+    expected = _scan_error(gens, dom, cod)
+    for build in (lambda: Word(gens, dom, cod),
+                  lambda: Word.from_runs([(g, 1) for g in gens], dom, cod)):
+        if expected is None:
+            assert build().gens == gens
+        else:
+            with pytest.raises(ChainMismatch) as err:
+                build()
+            assert str(err.value) == expected
+
+
+def test_run_of_non_self_generator_does_not_chain():
+    f = RUN_PAIR.base.generator("f")  # X -> Y
+    message = "generators f:X->Y and f:X->Y do not chain"
+    with pytest.raises(ChainMismatch, match=message):
+        Word((f, f), "X", "Y")
+    with pytest.raises(ChainMismatch, match=message):
+        Word.from_runs([(f, 2)], "X", "Y")
+    with pytest.raises(ChainMismatch, match=message):
+        Word.from_runs([(f, 1), (f, 1)], "X", "Y")
+    with pytest.raises(InvalidDefinition):
+        Word.from_runs([(f, 0)], "X", "Y")
+
+
+def test_iterate_simplest_stays_one_run():
+    pair = core.simplest_pair()
+    n = 20_000
+    final = iterate_shift(pair, parse_arrow(pair, "1_O -> 1_O"), n).final
+    assert str(final) == f"#^{n} -> #^{n * (n - 1) // 2}"
+    assert len(final.src.runs) == 1 and len(final.dst.runs) == 1
+    assert len(final.dst) == 199_990_000
+
+
+def test_iterate_russell_runs():
+    # (#R -> ~#R) shifts k times to (#^(k+1) R -> ~ #R #R ##R ... #^k R)
+    pair = core.russell_pair()
+    start = srt1(pair, parse_arrow(pair, "R -> ~#")).final
+    n = 2000
+    final = iterate_shift(pair, start, n).final
+    runs = [(g.name, count) for g, count in final.dst.runs]
+    assert len(runs) == 2 * n + 3
+    assert runs == [("~", 1), ("#", 1), ("R", 1)] + [
+        run for j in range(1, n + 1) for run in (("#", j), ("R", 1))
+    ]
+    assert [(g.name, count) for g, count in final.src.runs] == [("#", n + 1), ("R", 1)]
+
+
+# --- resumed normalization ---
+
+RULE_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def rule_sets(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = draw(st.lists(st.sampled_from(RULE_NAMES + ("?x", "?y")), min_size=1, max_size=3))
+        bound = tuple(sorted({tok for tok in pattern if tok.startswith("?")}))
+        replacement = draw(st.lists(st.sampled_from(RULE_NAMES + ("1",) + bound), max_size=3))
+        rules.append(RewriteRule(tuple(pattern), tuple(replacement)))
+    return tuple(rules)
+
+
+def restart_normalize(cat, word):
+    """Leftmost rewriting that rescans from position 0 after every step."""
+    gens, steps = word.gens, 0
+    while True:
+        for pos in range(len(gens)):
+            found = next((r for r in (rule.apply_at(gens, pos, cat) for rule in cat.rules)
+                          if r is not None), None)
+            if found is not None:
+                break
+        else:
+            return Word(gens, word.dom, word.cod)
+        steps += 1
+        if steps > cat.rewrite_budget:
+            raise RewriteBudgetExceeded("over budget")
+        gens = found
+
+
+@given(rule_sets(), st.lists(st.sampled_from(RULE_NAMES), max_size=14))
+def test_resumed_normalize_matches_restart(rules, names):
+    from dataclasses import replace
+
+    pair = category_from_digraph(["O"], [(n, "O", "O") for n in RULE_NAMES], rules=rules)
+    cat = replace(pair.base, rewrite_budget=20)
+    word = cat.word(names) if names else cat.identity("O")
+    try:
+        expected = restart_normalize(cat, word)
+    except RewriteBudgetExceeded:
+        with pytest.raises(RewriteBudgetExceeded):
+            cat.normalize(word)
+    else:
+        assert cat.normalize(word) == expected
