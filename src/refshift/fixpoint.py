@@ -42,7 +42,7 @@ class Apply:
     right: "Term"
 
     def __str__(self):
-        return f"({self.left} {self.right})"
+        return "".join([x if type(x) is str else x.name for x in _tokens(self)])
 
 
 Term = Union[Atom, FreeVar, Apply]
@@ -63,29 +63,51 @@ class ReflexiveDef:
             raise InvalidDefinition(f"definition name {self.name!r} occurs in its own body")
 
 
+def _tokens(t: Term) -> list:
+    """The printed form of t as a flat list, without recursion: the strings
+    "(", " " and ")" between the Atom and FreeVar leaves, left to right."""
+    out: list = []
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is Apply:
+            out.append("(")
+            todo += (")", x.right, " ", x.left)
+        else:
+            out.append(x)
+    return out
+
+
 def atom_names(t: Term) -> set[str]:
-    if isinstance(t, Atom):
-        return {t.name}
-    if isinstance(t, Apply):
-        return atom_names(t.left) | atom_names(t.right)
-    return set()
+    return {x.name for x in _tokens(t) if type(x) is Atom}
 
 
 def contains_var(t: Term, var: str) -> bool:
-    if isinstance(t, FreeVar):
-        return t.name == var
-    if isinstance(t, Apply):
-        return contains_var(t.left, var) or contains_var(t.right, var)
-    return False
+    return any(type(x) is FreeVar and x.name == var for x in _tokens(t))
 
 
 def substitute_term(t: Term, var: str, value: Term) -> Term:
-    """Replace FreeVar(var) only; atoms that share the variable's name stay put."""
-    if isinstance(t, FreeVar) and t.name == var:
-        return value
-    if isinstance(t, Apply):
-        return Apply(substitute_term(t.left, var, value), substitute_term(t.right, var, value))
-    return t
+    """Replace FreeVar(var) only; atoms that share the variable's name stay put.
+
+    A post-order walk without recursion; subtrees without the variable are
+    shared with t, not copied, and `value` is shared at every occurrence.
+    """
+    done: list[Term] = []
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        if x is None:  # both children of the next node are done
+            x = todo.pop()
+            right = done.pop()
+            left = done.pop()
+            done.append(x if left is x.left and right is x.right else Apply(left, right))
+        elif type(x) is Apply:
+            todo += (x, None, x.right, x.left)
+        elif type(x) is FreeVar and x.name == var:
+            done.append(value)
+        else:
+            done.append(x)
+    return done[0]
 
 
 class Rewriter:
@@ -134,21 +156,6 @@ def fixed_point(F: Term, r: Rewriter) -> Term:
     return Apply(g, g)
 
 
-def _step(t: Term, defs: dict[str, ReflexiveDef]):
-    """One normal-order (leftmost-outermost) rewrite, or None in normal form."""
-    if isinstance(t, Apply):
-        if isinstance(t.left, Atom) and t.left.name in defs:
-            d = defs[t.left.name]
-            return substitute_term(d.body, d.var, t.right)
-        left = _step(t.left, defs)
-        if left is not None:
-            return Apply(left, t.right)
-        right = _step(t.right, defs)
-        if right is not None:
-            return Apply(t.left, right)
-    return None
-
-
 @dataclass(frozen=True)
 class ReduceResult:
     term: Term
@@ -160,17 +167,65 @@ class ReduceResult:
 
 
 def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
-    """At most `steps` rewrites under the rewriter's definitions."""
+    """At most `steps` normal-order (leftmost-outermost) rewrites.
+
+    One pre-order search over an explicit path (a zipper) visits the term:
+    `path` holds (parent, right) for each Apply above the focus, with
+    `right` true where the focus is the parent's right child.  A rewrite
+    replaces the focus and the search resumes there, since every redex
+    before it in normal order was already ruled out.  The one exception is
+    a rewrite that leaves a defined atom as a left child: its parent is
+    then the next redex.  Ancestors are rebuilt on the way up, and only
+    when a child changed.  No position is searched twice, so a step costs
+    O(body size) plus the new nodes it exposes, and nothing recurses.
+    """
     if steps > r.fuel:
         raise InvalidDefinition(f"requested {steps} steps but the fuel budget is {r.fuel}")
+    defs = r.defs
+    path: list[tuple[Apply, bool]] = []
+    focus = t
     used = 0
-    while used < steps:
-        nxt = _step(t, r.defs)
-        if nxt is None:
-            return ReduceResult(t, used, False)
-        t = nxt
+    while True:
+        # advance the focus to the next redex in pre-order, if any
+        while True:
+            if type(focus) is Apply:
+                left = focus.left
+                if type(left) is Atom and left.name in defs:
+                    break
+                if type(left) is Apply:
+                    path.append((focus, False))
+                    focus = left
+                else:  # a leaf holds no redex
+                    path.append((focus, True))
+                    focus = focus.right
+                continue
+            while path:
+                parent, right = path.pop()
+                if right:
+                    focus = parent if focus is parent.right else Apply(parent.left, focus)
+                    continue
+                if focus is not parent.left:
+                    parent = Apply(focus, parent.right)
+                path.append((parent, True))
+                focus = parent.right
+                break
+            else:
+                return ReduceResult(focus, used, False)
+        if used >= steps:
+            break
+        d = defs[focus.left.name]
+        focus = substitute_term(d.body, d.var, focus.right)
         used += 1
-    return ReduceResult(t, used, _step(t, r.defs) is not None)
+        if type(focus) is Atom and focus.name in defs and path and not path[-1][1]:
+            parent, _ = path.pop()
+            focus = Apply(focus, parent.right)
+    while path:  # rebuild the ancestors of the focus, each at most once
+        parent, right = path.pop()
+        if right:
+            focus = parent if focus is parent.right else Apply(parent.left, focus)
+        else:
+            focus = parent if focus is parent.left else Apply(focus, parent.right)
+    return ReduceResult(focus, used, True)
 
 
 def check_fixed_point(F: Term, r: Rewriter) -> bool:
@@ -214,33 +269,24 @@ def parse_term(text: str, var: str | None = None) -> Term:
     Occurrences of `var` become free variables; everything else is an atom.
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def parse_item():
-        nonlocal pos
-        tok = tokens[pos]
-        if tok == "(":
-            pos += 1
-            inner = parse_seq()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise InvalidDefinition("unbalanced parentheses in term")
-            pos += 1
-            return inner
-        if tok == ")":
-            raise InvalidDefinition("unexpected ')' in term")
-        pos += 1
-        return FreeVar(tok) if tok == var else Atom(tok)
-
-    def parse_seq():
-        nonlocal pos
-        term = parse_item()
-        while pos < len(tokens) and tokens[pos] != ")":
-            term = Apply(term, parse_item())
-        return term
-
     if not tokens:
         raise InvalidDefinition("empty term")
-    term = parse_seq()
-    if pos != len(tokens):
-        raise InvalidDefinition("trailing tokens in term")
+    outer: list[Term | None] = []  # the enclosing sequences, read so far
+    term: Term | None = None  # the innermost open sequence, read so far
+    for tok in tokens:
+        if tok == "(":
+            outer.append(term)
+            term = None
+            continue
+        if tok == ")":
+            if term is None:
+                raise InvalidDefinition("unexpected ')' in term")
+            if not outer:
+                raise InvalidDefinition("trailing tokens in term")
+            item, term = term, outer.pop()
+        else:
+            item = FreeVar(tok) if tok == var else Atom(tok)
+        term = item if term is None else Apply(term, item)
+    if outer:
+        raise InvalidDefinition("unbalanced parentheses in term")
     return term

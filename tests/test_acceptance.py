@@ -82,9 +82,10 @@ def test_acceptance_04_simplest_closed_form():
     pair = core.simplest_pair()
     sharp = pair.base.sharp_at("O")
     ident = pair.base.identity("O")
-    seq = core.iterate_shift(pair, RefArrow(ident, ident), 12)
-    assert seq.stop_reason is None and len(seq) == 12
-    for k, arrow in enumerate(seq.arrows, start=1):
+    last = 100_000
+    seq = core.iterate_shift(pair, RefArrow(ident, ident), last)
+    assert seq.stop_reason is None and len(seq) == last
+    for k, arrow in enumerate(seq.arrows[:12], start=1):
         n = k * (k - 1) // 2
         expected = RefArrow(
             Word.from_generators((sharp,) * k),
@@ -92,7 +93,13 @@ def test_acceptance_04_simplest_closed_form():
         )
         assert arrow == expected, f"k={k}"
     assert str(seq.arrows[2]) == "### -> ###"  # self-reference at the third step
-    _ok(4, "iterated shift from (1 -> 1) is (#^k -> #^(k(k-1)/2)) for k = 1..12, exact words")
+    # past k = 12 the words are checked through their runs: one run of # a side
+    final = seq.arrows[-1]
+    assert final.src.runs == ((sharp, last),)
+    assert final.dst.runs == ((sharp, last * (last - 1) // 2),)
+    assert str(final) == "#^100000 -> #^4999950000"
+    _ok(4, "iterated shift from (1 -> 1) is (#^k -> #^(k(k-1)/2)): exact words for k = 1..12, "
+           "one run a side at k = 100000")
 
 
 def test_acceptance_05_srt1_shape():

@@ -194,6 +194,20 @@ def test_lambda_subcommands(capsys):
     assert payload["result"]["name"] == "q"
 
 
+def test_lambda_deep_reductions_emit_envelopes(capsys):
+    argv = ["lambda", "reduce", "g g", "--define", "g x = F (x x)", "--steps", "5000"]
+    code, payload, _ = invoke_json(capsys, *argv)
+    assert code == 0 and payload["status"] == "ok"
+    result = payload["result"]
+    assert (result["steps_used"], result["exhausted"]) == (5000, True)
+    assert result["term"] == "(F " * 5000 + "(g g)" + ")" * 5000
+    code, payload, _ = invoke_json(capsys, "lambda", "fixpoint", "F", "--steps", "1500")
+    assert code == 0 and payload["status"] == "ok"
+    stages = payload["result"]["stages"]
+    assert len(stages) == 1501
+    assert stages[-1] == "(F " * 1500 + "(g0 g0)" + ")" * 1500
+
+
 def test_reflexive_subcommands(capsys, tmp_path):
     code, out, _ = invoke(capsys, "reflexive", "check", "--builtin", "trefoil")
     assert code == 0 and out.strip() == "reflexive: True"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -179,3 +181,111 @@ def test_bridge_to_reference_shift():
     rename = {"g0": "g", "F": "F"}
     assert [rename[n] for n in flat(t)] == [g.name for g in shifted.src.gens]
     assert [rename[n] for n in flat(reduced)] == [g.name for g in shifted.dst.gens]
+
+
+# --- deep terms: nothing recurses ---
+
+DEPTH = 5000
+
+
+def test_fixed_point_tower_of_5000():
+    r = Rewriter()
+    F = Atom("F")
+    t = fixed_point(F, r)
+    out = reduce(t, r, DEPTH)
+    assert out.steps_used == DEPTH and out.exhausted
+    node = out.term
+    for _ in range(DEPTH):
+        assert type(node) is Apply and node.left == F
+        node = node.right
+    assert node == t
+
+
+def test_projection_chain_steps_back_up():
+    # I I I ... I a nests to the left; each rewrite leaves the defined atom I
+    # as a left child, so its parent is the next redex
+    r = Rewriter()
+    r.define("I", "x", FreeVar("x"))
+    t = parse_term(" ".join(["I"] * DEPTH + ["a"]))
+    out = reduce(t, r, DEPTH + 1)
+    assert out.term == Atom("a") and out.steps_used == DEPTH and not out.exhausted
+
+
+def test_deep_term_round_trips():
+    rng = random.Random(5)
+    text = "a"
+    for _ in range(DEPTH):
+        text = f"({text} b)" if rng.random() < 0.5 else f"(c {text})"
+    t = parse_term(text)
+    assert str(t) == text
+    assert fixpoint.atom_names(t) == {"a", "b", "c"}
+    assert not fixpoint.contains_var(t, "x")
+
+
+# --- the stack-based reduce against a recursive, restart-from-the-root model ---
+
+
+def _model_substitute(t, var, value):
+    if isinstance(t, FreeVar) and t.name == var:
+        return value
+    if isinstance(t, Apply):
+        return Apply(_model_substitute(t.left, var, value), _model_substitute(t.right, var, value))
+    return t
+
+
+def _model_step(t, defs):
+    """One leftmost-outermost rewrite found from the root, or None."""
+    if isinstance(t, Apply):
+        if isinstance(t.left, Atom) and t.left.name in defs:
+            d = defs[t.left.name]
+            return _model_substitute(d.body, d.var, t.right)
+        left = _model_step(t.left, defs)
+        if left is not None:
+            return Apply(left, t.right)
+        right = _model_step(t.right, defs)
+        if right is not None:
+            return Apply(t.left, right)
+    return None
+
+
+NAMES = ["a", "b", "I", "p", "q"]
+
+
+def _terms(names, var=None):
+    leaves = [Atom(n) for n in names] + ([FreeVar(var)] if var else [])
+    return st.recursive(
+        st.sampled_from(leaves), lambda c: st.builds(Apply, c, c), max_leaves=8
+    )
+
+
+def _count_leaf(t, name):
+    return str(t).replace("(", " ").replace(")", " ").split().count(name)
+
+
+@given(st.data())
+def test_reduce_matches_restarting_model(data):
+    r = Rewriter()
+    r.define("I", "x", FreeVar("x"))  # a projection: may leave I as a left child
+    for name, least in (("p", 1), ("q", 2)):  # q duplicates its argument
+        body = data.draw(_terms([n for n in NAMES if n != name], "x"))
+        for _ in range(least - _count_leaf(body, "x")):
+            body = Apply(body, FreeVar("x"))
+        r.define(name, "x", body)
+    t = data.draw(_terms(NAMES))
+    seq = [t]
+    while len(seq) <= 12 and len(str(seq[-1])) < 8000:
+        nxt = _model_step(seq[-1], r.defs)
+        if nxt is None:
+            break
+        seq.append(nxt)
+    for k, want in enumerate(seq):
+        out = reduce(t, r, k)
+        assert str(out.term) == str(want)
+        assert out.steps_used == k
+        assert out.exhausted == (_model_step(want, r.defs) is not None)
+    out = reduce(t, r, -1)  # a negative allowance acts as 0
+    assert (out.term, out.steps_used, out.exhausted) == (t, 0, len(seq) > 1)
+    if _model_step(seq[-1], r.defs) is None:  # a normal form: extra allowance is unused
+        out = reduce(t, r, len(seq) + 3)
+        assert str(out.term) == str(seq[-1])
+        assert (out.steps_used, out.exhausted) == (len(seq) - 1, False)
