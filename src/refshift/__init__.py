@@ -32,7 +32,6 @@ from .core import (
     indicative_shift,
     is_composable_reference,
     iterate_shift,
-    load_pair,
     load_pair_text,
     parse_arrow,
     shift_step,
@@ -60,7 +59,6 @@ __all__ = [
     "indicative_shift",
     "is_composable_reference",
     "iterate_shift",
-    "load_pair",
     "load_pair_text",
     "parse_arrow",
     "shift_step",

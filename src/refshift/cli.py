@@ -1,7 +1,11 @@
 """Command-line front door: text by default, JSON envelopes with --json.
 
-Exit codes: 0 on success, 1 on a domain error (reported with its machine
-code), 2 on usage errors.
+Every subcommand is one row of ``COMMANDS``: its help, its argument specs and
+a handler that returns ``(result dict, text lines[, derivation])``.
+
+Exit codes: 0 on success, 1 on a domain error or an unreadable file, 2 on a
+usage error. Each failure has a machine code (a ``DomainError`` code, ``io``
+or ``usage``); with --json every outcome is one envelope.
 """
 
 from __future__ import annotations
@@ -10,37 +14,47 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from . import core, fixpoint, godel, lawvere, reflexive, smullyan
 from .errors import DomainError, InvalidDefinition, InvalidSymbol
 
 
-def _pair_from_args(args) -> core.CategoricalPair:
-    if getattr(args, "category", None):
-        pair = core.load_pair(args.category)
-    else:
-        pair = core.BUILTIN_PAIRS[args.base]()
-    if getattr(args, "lambda_pair", False):
+class UsageError(DomainError):
+    """A command line argparse rejects; ``usage`` is argparse's own report of it."""
+
+    code = "usage"
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+def _read(path: str) -> str:
+    """The text of a model, table, arc or pair file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidDefinition(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _pair(args) -> core.CategoricalPair:
+    pair = core.load_pair_text(_read(args.category)) if args.category else core.BUILTIN_PAIRS[args.base]()
+    if args.lambda_pair:
         pair = replace(pair, is_lambda_pair=True)
-    if getattr(args, "two_category", False):
-        pair = replace(pair, two_category=True)
-    if getattr(args, "fuel", None):
+    if args.fuel is not None:
         pair = replace(pair, base=replace(pair.base, rewrite_budget=args.fuel))
     return pair
 
 
-def _default_arrow(pair: core.CategoricalPair) -> core.RefArrow:
-    objects = sorted(pair.base.objects)
-    if len(objects) != 1:
-        raise InvalidDefinition("--arrow is required when the base has several objects")
-    ident = pair.base.identity(objects[0])
-    return core.RefArrow(ident, ident)
-
-
 def _load_model(path) -> smullyan.MachineModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    strings = [s for s in lines if s]
+    strings = [s for s in _read(path).split("\n") if s]
     for s in strings:
         for ch in s:
             if ch not in smullyan.ALPHABET:
@@ -49,12 +63,13 @@ def _load_model(path) -> smullyan.MachineModel:
 
 
 def _load_table(path) -> lawvere.CurriedMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
+        data = json.loads(_read(path))
         dom = lawvere.FinSet(tuple(data["elements"]))
         cod = lawvere.FinSet(tuple(data["z_elements"]))
         rows = tuple(tuple(row) for row in data["rows"])
+    except json.JSONDecodeError as exc:
+        raise InvalidDefinition(f"table file is not JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise InvalidDefinition("table file needs elements, z_elements, rows") from exc
     return lawvere.CurriedMap(dom, cod, rows)
@@ -89,376 +104,324 @@ def _parse_definition(spec: str) -> tuple[str, str, fixpoint.Term]:
     return name, var, fixpoint.parse_term(body.strip(), var=var)
 
 
-# --- handlers: each returns (result dict, text lines, optional derivation) ---
+def _rewriter(args) -> fixpoint.Rewriter:
+    rewriter = fixpoint.Rewriter(fuel=args.fuel)
+    for spec in args.define or []:
+        rewriter.define(*_parse_definition(spec))
+    return rewriter
 
 
-def _handle_shift(args):
-    pair = _pair_from_args(args)
+DIAGRAMS = {"trefoil": reflexive.TREFOIL, "link": reflexive.LINK}
+
+
+def _diagram(args) -> reflexive.DiagramCategory:
+    if args.builtin:
+        table = DIAGRAMS[args.builtin]
+    elif args.table:
+        table = reflexive.parse_arc_table(_read(args.table))
+    else:
+        raise InvalidDefinition("reflexive needs --builtin or --table")
+    return reflexive.build(table)
+
+
+def _wire(*tokens: str) -> godel.GodelNumber:
+    return godel.GodelNumber.from_wire(" ".join(tokens))
+
+
+def _number(number: godel.GodelNumber, materialize: bool = False):
+    result = {"number": number.wire(), "digit_length": number.digit_length}
+    if materialize:
+        result["digits"] = number.digits()
+    return result, [result["digits"] if materialize else result["number"]]
+
+
+def _shift(args):
+    pair = _pair(args)
     arrow = core.parse_arrow(pair, args.arrow)
     shifted, rule = core.shift_step(pair, arrow)
-    trace = core.Derivation(
-        (core.DerivationStep("axiom", arrow), core.DerivationStep(rule, shifted))
-    )
+    trace = core.Derivation((core.DerivationStep("axiom", arrow), core.DerivationStep(rule, shifted)))
     result = {"arrow": str(shifted), "src": str(shifted.src), "dst": str(shifted.dst), "rule": rule}
     return result, [str(shifted)], trace
 
 
-def _handle_srt1(args):
-    pair = _pair_from_args(args)
+def _srt1(args):
+    pair = _pair(args)
     derivation = core.srt1(pair, core.parse_arrow(pair, args.arrow))
     steps = derivation.to_json()["steps"]
     lines = [f"{i}. [{s['rule']}] {s['src_word']} -> {s['dst_word']}" for i, s in enumerate(steps, 1)]
     return {"final": str(derivation.final), "steps": steps}, lines, derivation
 
 
-def _handle_iterate(args):
-    pair = _pair_from_args(args)
-    arrow = core.parse_arrow(pair, args.arrow) if args.arrow else _default_arrow(pair)
+def _iterate(args):
+    if args.n < 1:
+        args.usage_error(f"argument --n: must be at least 1, got {args.n}")
+    pair = _pair(args)
+    if args.arrow:
+        arrow = core.parse_arrow(pair, args.arrow)
+    elif len(pair.base.objects) == 1:
+        ident = pair.base.identity(*pair.base.objects)
+        arrow = core.RefArrow(ident, ident)
+    else:
+        raise InvalidDefinition("--arrow is required when the base has several objects")
     seq = core.iterate_shift(pair, arrow, args.n)
-    result = {
-        "arrows": [str(a) for a in seq.arrows],
-        "rules": list(seq.rules),
-        "stop_reason": seq.stop_reason,
-    }
-    lines = [str(a) for a in seq.arrows]
-    if seq.stop_reason:
-        lines.append(f"stopped early: {seq.stop_reason}")
-    return result, lines, None
+    arrows = [str(a) for a in seq.arrows]
+    stop = [f"stopped early: {seq.stop_reason}"] if seq.stop_reason else []
+    return {"arrows": arrows, "rules": list(seq.rules), "stop_reason": seq.stop_reason}, arrows + stop
 
 
-def _handle_smullyan(args):
-    if args.action == "report":
-        derivation = smullyan.goedel_miniature_report()
-        notes = [s.note for s in derivation.steps]
-        lines = [f"{i}. {note}" for i, note in enumerate(notes, 1)]
-        return {"steps": notes, "final_claim": notes[-1]}, lines, derivation
-    if args.string is None:
-        raise InvalidDefinition(f"smullyan {args.action} needs a string argument")
-    s = args.string
-    if args.action == "classify":
-        c = smullyan.classify(s)
-        result = {
-            "string": s,
-            "interpretable": c is not None,
-            "kind": c.kind if c else None,
-            "body": c.body if c else None,
-        }
-        line = f"{s}: {c.kind} with remainder {c.body!r}" if c else f"{s}: not interpretable"
-        return result, [line], None
-    if args.action == "arrow":
-        arrow = smullyan.reference_arrow(s)
-        result = {"arrow": str(arrow) if arrow else None}
-        return result, [str(arrow) if arrow else "no arrow (not interpretable)"], None
-    if args.action == "semantics":
-        if not args.model:
-            raise InvalidDefinition("smullyan semantics needs --model FILE")
-        value = smullyan.semantics(s, _load_model(args.model))
-        text = {True: "true", False: "false", None: "no-meaning"}[value]
-        return {"string": s, "value": value}, [text], None
-    raise InvalidDefinition(f"unknown smullyan action {args.action!r}")
+def _report(args):
+    derivation = smullyan.goedel_miniature_report()
+    notes = [s.note for s in derivation.steps]
+    lines = [f"{i}. {note}" for i, note in enumerate(notes, 1)]
+    return {"steps": notes, "final_claim": notes[-1]}, lines, derivation
 
 
-def _handle_violations(args):
-    model = _load_model(args.model)
-    bad = sorted(smullyan.truthfulness_violations(model))
-    lines = bad if bad else ["no violations: the model is truthful"]
-    return {"violations": bad, "truthful": not bad}, lines, None
+def _classify(args):
+    s, c = args.string, smullyan.classify(args.string)
+    result = {"string": s, "interpretable": c is not None, "kind": c and c.kind, "body": c and c.body}
+    return result, [f"{s}: {c.kind} with remainder {c.body!r}" if c else f"{s}: not interpretable"]
 
 
-def _handle_godel_encode(args):
-    number = godel.encode(godel.parse_compact(args.text))
-    return {"number": number.wire(), "digit_length": number.digit_length}, [number.wire()], None
+def _arrow(args):
+    arrow = smullyan.reference_arrow(args.string)
+    text = str(arrow) if arrow else None
+    return {"arrow": text}, [text or "no arrow (not interpretable)"]
 
 
-def _handle_godel_decode(args):
-    number = godel.GodelNumber.from_wire(" ".join(args.number))
-    formula = godel.decode(number)
+def _semantics(args):
+    if not args.model:
+        raise InvalidDefinition("smullyan semantics needs --model FILE")
+    value = smullyan.semantics(args.string, _load_model(args.model))
+    text = {True: "true", False: "false", None: "no-meaning"}[value]
+    return {"string": args.string, "value": value}, [text]
+
+
+def _violations(args):
+    bad = sorted(smullyan.truthfulness_violations(_load_model(args.model)))
+    return {"violations": bad, "truthful": not bad}, bad or ["no violations: the model is truthful"]
+
+
+def _godel_decode(args):
+    formula = godel.decode(_wire(*args.number))
     result = {"formula": str(formula), "length": formula.length}
-    lines = [str(formula)]
     if args.materialize:
         result["text"] = formula.text()
-        lines = [result["text"]]
-    return result, lines, None
+    return result, [result["text"] if args.materialize else result["formula"]]
 
 
-def _handle_godel_sharp(args):
-    number = godel.GodelNumber.from_wire(" ".join(args.number))
-    sharped = godel.sharp_decimal(number)
-    result = {"number": sharped.wire(), "digit_length": sharped.digit_length}
-    lines = [sharped.wire()]
-    if args.materialize:
-        result["digits"] = sharped.digits()
-        lines = [result["digits"]]
-    return result, lines, None
-
-
-def _handle_godel_compose(args):
-    left = godel.GodelNumber.from_wire(args.left)
-    right = godel.GodelNumber.from_wire(args.right)
-    composed = godel.compose_numbers(left, right)
-    return {"number": composed.wire(), "digit_length": composed.digit_length}, [composed.wire()], None
-
-
-def _handle_self_refuter(args):
+def _self_refuter(args):
     number, formula = godel.build_self_refuter()
-    result = {
-        "number": number.wire(),
-        "formula": str(formula),
-        "digit_length": number.digit_length,
-        "verified": True,
-    }
-    lines = [
-        f"number:  {number.wire()}",
-        f"formula: {formula}",
-        "verified: the formula's code is the number it talks about",
-    ]
-    return result, lines, None
+    result, _ = _number(number)
+    result.update(formula=str(formula), verified=True)
+    lines = [f"number:  {result['number']}", f"formula: {result['formula']}",
+             "verified: the formula's code is the number it talks about"]
+    return result, lines
 
 
-def _handle_lawvere(args):
+def _lawvere(args):
     F = _load_table(args.table)
     alpha = _parse_alpha(args.alpha, F.cod_base)
     diagonal = lawvere.cantor_diagonal(F, alpha)
     rep = lawvere.find_representation(F, diagonal)
-    result = {
-        "diagonal": list(diagonal.table),
-        "representation": rep,
-        "fixed_point": None,
-        "not_surjective": False,
-    }
     try:
         value, witness = lawvere.lawvere_fixed_point(F, alpha)
-        result["fixed_point"] = {"value": value, "witness": witness}
+        fixed, line = {"value": value, "witness": witness}, f"represented by {rep}; alpha fixes {value}"
     except lawvere.NotSurjective:
-        result["not_surjective"] = True
-    lines = [f"diagonal: {' '.join(diagonal.table)}"]
-    if result["fixed_point"]:
-        lines.append(f"represented by {rep}; alpha fixes {result['fixed_point']['value']}")
-    else:
-        lines.append("diagonal not represented: no surjection onto the map set")
-    return result, lines, None
+        fixed, line = None, "diagonal not represented: no surjection onto the map set"
+    result = {"diagonal": list(diagonal.table), "representation": rep, "fixed_point": fixed,
+              "not_surjective": fixed is None}
+    return result, [f"diagonal: {' '.join(diagonal.table)}", line]
 
 
-def _handle_threeval(args):
-    F = _load_table(args.table)
-    report = lawvere.three_valued_diagonal_analysis(F)
-    result = {
-        "diagonal": list(report.diagonal.table),
-        "representations": list(report.representations),
-        "witnessed": report.witnessed,
-    }
-    lines = [f"diagonal: {' '.join(report.diagonal.table)}"]
-    if report.witnessed:
-        lines.append(
-            "represented by " + ", ".join(report.representations) + "; diagonal value J at each"
-        )
-    else:
-        lines.append("no representation for this table")
-    return result, lines, None
+def _threeval(args):
+    report = lawvere.three_valued_diagonal_analysis(_load_table(args.table))
+    reps = list(report.representations)
+    result = {"diagonal": list(report.diagonal.table), "representations": reps,
+              "witnessed": report.witnessed}
+    line = ("represented by " + ", ".join(reps) + "; diagonal value J at each" if report.witnessed
+            else "no representation for this table")
+    return result, [f"diagonal: {' '.join(report.diagonal.table)}", line]
 
 
-def _handle_lambda(args):
-    rewriter = fixpoint.Rewriter(fuel=args.fuel)
-    for spec in args.define or []:
-        name, var, body = _parse_definition(spec)
-        rewriter.define(name, var, body)
-    if args.action == "define":
-        if not args.term:
-            raise InvalidDefinition("lambda define needs a 'name var = body' argument")
-        name, var, body = _parse_definition(args.term)
-        rewriter.define(name, var, body)
-        result = {"name": name, "var": var, "body": str(body)}
-        return result, [f"{name} {var} = {body}"], None
-    if args.action == "fixpoint":
-        if not args.term:
-            raise InvalidDefinition("lambda fixpoint needs a term argument")
-        F = fixpoint.parse_term(args.term)
-        t = fixpoint.fixed_point(F, rewriter)
-        g = t.left.name
-        d = rewriter.defs[g]
-        stages = [str(t)]
-        current = t
-        for _ in range(args.steps):
-            step = fixpoint.reduce(current, rewriter, 1)
-            if step.steps_used == 0:
-                break
-            current = step.term
-            stages.append(str(current))
-        result = {
-            "definition": {"name": g, "var": d.var, "body": str(d.body)},
-            "fixpoint": str(t),
-            "stages": stages,
-        }
-        lines = [f"{g} {d.var} = {d.body}"] + stages
-        return result, lines, None
-    if args.action == "reduce":
-        if not args.term:
-            raise InvalidDefinition("lambda reduce needs a term argument")
-        term = fixpoint.parse_term(args.term)
-        outcome = fixpoint.reduce(term, rewriter, args.steps)
-        result = {
-            "term": str(outcome.term),
-            "steps_used": outcome.steps_used,
-            "exhausted": outcome.exhausted,
-        }
-        return result, [str(outcome.term)], None
-    raise InvalidDefinition(f"unknown lambda action {args.action!r}")
+def _define(args):
+    rewriter = _rewriter(args)
+    name, var, body = _parse_definition(args.term)
+    rewriter.define(name, var, body)
+    return {"name": name, "var": var, "body": str(body)}, [f"{name} {var} = {body}"]
 
 
-def _handle_reflexive(args):
-    if args.builtin:
-        table = {"trefoil": reflexive.TREFOIL, "link": reflexive.LINK}[args.builtin]
-    elif args.table:
-        with open(args.table, "r", encoding="utf-8") as fh:
-            table = reflexive.parse_arc_table(fh.read())
-    else:
-        raise InvalidDefinition("reflexive needs --builtin or --table")
-    diagram = reflexive.build(table)
-    if args.action == "build":
-        gens = [
-            {"name": g.name, "dom": g.dom, "cod": g.cod} for g in diagram.category.generators
-        ]
-        result = {
-            "objects": sorted(diagram.category.objects),
-            "generators": gens,
-            "reflexive": reflexive.is_reflexive(diagram),
-        }
-        lines = [f"{g['name']}: {g['dom']} -> {g['cod']}" for g in gens]
-        lines.append(f"reflexive: {result['reflexive']}")
-        return result, lines, None
-    if args.action == "check":
-        ok = reflexive.is_reflexive(diagram)
-        return {"reflexive": ok}, [f"reflexive: {ok}"], None
-    if args.action == "enumerate":
-        words = sorted(reflexive.enumerate_composites(diagram, args.max_len), key=lambda w: (len(w), str(w)))
-        shown = [str(w) for w in words]
-        return {"count": len(shown), "words": shown}, shown, None
-    raise InvalidDefinition(f"unknown reflexive action {args.action!r}")
+def _fixpoint(args):
+    rewriter = _rewriter(args)
+    current = fixpoint.fixed_point(fixpoint.parse_term(args.term), rewriter)
+    d = rewriter.defs[current.left.name]
+    definition = {"name": current.left.name, "var": d.var, "body": str(d.body)}
+    stages = [str(current)]
+    for _ in range(args.steps):
+        step = fixpoint.reduce(current, rewriter, 1)
+        if step.steps_used == 0:
+            break
+        current = step.term
+        stages.append(str(current))
+    lines = ["{name} {var} = {body}".format(**definition)] + stages
+    return {"definition": definition, "fixpoint": stages[0], "stages": stages}, lines
+
+
+def _reduce(args):
+    outcome = fixpoint.reduce(fixpoint.parse_term(args.term), _rewriter(args), args.steps)
+    term = str(outcome.term)
+    return {"term": term, "steps_used": outcome.steps_used, "exhausted": outcome.exhausted}, [term]
+
+
+def _build(args):
+    diagram = _diagram(args)
+    gens = [{"name": g.name, "dom": g.dom, "cod": g.cod} for g in diagram.category.generators]
+    ok = reflexive.is_reflexive(diagram)
+    lines = [f"{g['name']}: {g['dom']} -> {g['cod']}" for g in gens] + [f"reflexive: {ok}"]
+    return {"objects": sorted(diagram.category.objects), "generators": gens, "reflexive": ok}, lines
+
+
+def _check(args):
+    ok = reflexive.is_reflexive(_diagram(args))
+    return {"reflexive": ok}, [f"reflexive: {ok}"]
+
+
+def _enumerate(args):
+    words = reflexive.enumerate_composites(_diagram(args), args.max_len)
+    shown = [str(w) for w in sorted(words, key=lambda w: (len(w), str(w)))]
+    return {"count": len(shown), "words": shown}, shown
+
+
+def arg(name: str, **kwargs):
+    """One argument spec: a positional's name or an option's flag, and add_argument's keywords."""
+    return name, kwargs
+
+
+class Command(NamedTuple):
+    help: str
+    args: tuple
+    run: Callable
+
+
+OUTPUT = (
+    arg("--json", action="store_true", help="emit a JSON envelope"),
+    arg("--trace", action="store_true", help="include the derivation trace"),
+)
+PAIR = (
+    arg("--base", choices=sorted(core.BUILTIN_PAIRS), default="simplest", help="built-in base pair"),
+    arg("--category", metavar="FILE", help="load the base pair from a file"),
+    arg("--lambda-pair", action="store_true", help="treat self-morphisms a with #a = aa"),
+    arg("--fuel", type=int, help="rewrite step budget"),
+)
+MODEL = {"metavar": "FILE", "help": "printable set, one string per line"}
+STRING = (arg("string"),)
+NUMBER = (
+    arg("number", nargs="+", help="run-length tokens, e.g. 341 6x34152 2"),
+    arg("--materialize", action="store_true", help="print the full digit or symbol string"),
+)
+TABLE = (arg("--table", metavar="FILE", required=True, help='JSON {"elements", "z_elements", "rows"}'),)
+LAMBDA = (
+    arg("term"),
+    arg("--define", action="append", metavar="'name var = body'"),
+    arg("--steps", type=int, default=1),
+    arg("--fuel", type=int, default=10_000),
+)
+DIAGRAM = (
+    arg("--table", metavar="FILE", help="lines 'name: dom -> cod'"),
+    arg("--builtin", choices=list(DIAGRAMS)),
+)
+GROUPS = {"smullyan": "printing-machine analysis", "lambda": "named maps and fixed points",
+          "reflexive": "categories from arc tables"}
+
+COMMANDS = {
+    "shift": Command("apply the shift to one arrow",
+                     PAIR + (arg("arrow", help="reference arrow, e.g. 'g -> F'"),), _shift),
+    "srt1": Command("derive (#g -> F#g) from (g -> F#)", PAIR + (arg("arrow"),), _srt1),
+    "iterate": Command("iterate the shift", PAIR + (
+        arg("--arrow", help="starting arrow; defaults to 1 -> 1"),
+        arg("--n", type=int, required=True, help="number of shifts"),
+    ), _iterate),
+    "smullyan classify": Command("classify a machine string", STRING, _classify),
+    "smullyan arrow": Command("its reference arrow", STRING, _arrow),
+    "smullyan semantics": Command("its truth value in --model", STRING + (arg("--model", **MODEL),),
+                                  _semantics),
+    "smullyan report": Command("the proof that ~R~R is true but unprintable", (), _report),
+    "violations": Command("printed falsehoods of a model", (arg("--model", required=True, **MODEL),),
+                          _violations),
+    "godel-encode": Command("formula text to code number", (arg("text"),),
+                            lambda args: _number(godel.encode(godel.parse_compact(args.text)))),
+    "godel-decode": Command("code number to formula", NUMBER, _godel_decode),
+    "godel-sharp": Command("self-substitution on a code number", NUMBER,
+                           lambda args: _number(godel.sharp_decimal(_wire(*args.number)), args.materialize)),
+    "godel-compose": Command("compose two code numbers", (arg("left"), arg("right")),
+                             lambda args: _number(godel.compose_numbers(_wire(args.left),
+                                                                        _wire(args.right)))),
+    "self-refuter": Command("the formula asserting its own code's unprintability", (), _self_refuter),
+    "lawvere": Command("diagonal and fixed-point report", TABLE + (
+        arg("--alpha", default="identity",
+            help="'identity', 'negation', or src:dst pairs separated by commas"),
+    ), _lawvere),
+    "threeval": Command("three-valued diagonal analysis", TABLE, _threeval),
+    "lambda define": Command("one definition 'name var = body'", LAMBDA, _define),
+    "lambda fixpoint": Command("the fixed point of a term, unfolded --steps times", LAMBDA, _fixpoint),
+    "lambda reduce": Command("normal-order reduction for --steps steps", LAMBDA, _reduce),
+    "reflexive build": Command("the category's objects and generators", DIAGRAM, _build),
+    "reflexive check": Command("whether the category is reflexive", DIAGRAM, _check),
+    "reflexive enumerate": Command("composites of at most --max-len generators",
+                                   DIAGRAM + (arg("--max-len", type=int, default=2),), _enumerate),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="refshift",
-        description="Categorical pairs, the indicative shift, and four self-reference engines.",
-    )
+    """One subparser per command. Rows that share a command share its parser and are
+    chosen by ``action``; there each row's positionals are optional, and ``run`` checks them."""
+    parser = _Parser(prog="refshift",
+                     description="Categorical pairs, the indicative shift, and four self-reference engines.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    output.add_argument("--trace", action="store_true", help="include the derivation trace")
-
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--base", choices=sorted(core.BUILTIN_PAIRS), default="simplest",
-                      help="built-in base pair")
-    base.add_argument("--category", metavar="FILE", help="load the base pair from a file")
-    base.add_argument("--lambda-pair", action="store_true", dest="lambda_pair",
-                      help="treat self-morphisms a with #a = aa")
-    base.add_argument("--two-category", action="store_true", dest="two_category",
-                      help="enable horizontal composition")
-    base.add_argument("--fuel", type=int, default=None, help="rewrite step budget")
-
-    p = sub.add_parser("shift", parents=[output, base], help="apply the shift to one arrow")
-    p.add_argument("arrow", help="reference arrow, e.g. 'g -> F'")
-    p.set_defaults(handler=_handle_shift)
-
-    p = sub.add_parser("srt1", parents=[output, base], help="derive (#g -> F#g) from (g -> F#)")
-    p.add_argument("arrow")
-    p.set_defaults(handler=_handle_srt1)
-
-    p = sub.add_parser("iterate", parents=[output, base], help="iterate the shift")
-    p.add_argument("--arrow", default=None, help="starting arrow; defaults to 1 -> 1")
-    p.add_argument("--n", type=int, required=True, help="number of shifts")
-    p.set_defaults(handler=_handle_iterate)
-
-    p = sub.add_parser("smullyan", parents=[output], help="printing-machine analysis")
-    p.add_argument("action", choices=["classify", "arrow", "semantics", "report"])
-    p.add_argument("string", nargs="?", default=None)
-    p.add_argument("--model", metavar="FILE", help="printable set, one string per line")
-    p.set_defaults(handler=_handle_smullyan)
-
-    p = sub.add_parser("violations", parents=[output], help="printed falsehoods of a model")
-    p.add_argument("--model", metavar="FILE", required=True)
-    p.set_defaults(handler=_handle_violations)
-
-    p = sub.add_parser("godel-encode", parents=[output], help="formula text to code number")
-    p.add_argument("text")
-    p.set_defaults(handler=_handle_godel_encode)
-
-    p = sub.add_parser("godel-decode", parents=[output], help="code number to formula")
-    p.add_argument("number", nargs="+", help="run-length tokens, e.g. 341 6x34152 2")
-    p.add_argument("--materialize", action="store_true", help="print the full symbol string")
-    p.set_defaults(handler=_handle_godel_decode)
-
-    p = sub.add_parser("godel-sharp", parents=[output], help="self-substitution on a code number")
-    p.add_argument("number", nargs="+")
-    p.add_argument("--materialize", action="store_true", help="print the full digit string")
-    p.set_defaults(handler=_handle_godel_sharp)
-
-    p = sub.add_parser("godel-compose", parents=[output], help="compose two code numbers")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_handle_godel_compose)
-
-    p = sub.add_parser("self-refuter", parents=[output],
-                       help="the formula asserting its own code's unprintability")
-    p.set_defaults(handler=_handle_self_refuter)
-
-    p = sub.add_parser("lawvere", parents=[output], help="diagonal and fixed-point report")
-    p.add_argument("--table", metavar="FILE", required=True,
-                   help='JSON {"elements", "z_elements", "rows"}')
-    p.add_argument("--alpha", default="identity",
-                   help="'identity', 'negation', or src:dst pairs separated by commas")
-    p.set_defaults(handler=_handle_lawvere)
-
-    p = sub.add_parser("threeval", parents=[output], help="three-valued diagonal analysis")
-    p.add_argument("--table", metavar="FILE", required=True)
-    p.set_defaults(handler=_handle_threeval)
-
-    p = sub.add_parser("lambda", parents=[output], help="named maps and fixed points")
-    p.add_argument("action", choices=["define", "fixpoint", "reduce"])
-    p.add_argument("term", nargs="?", default=None)
-    p.add_argument("--define", action="append", metavar="'name var = body'")
-    p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--fuel", type=int, default=10_000)
-    p.set_defaults(handler=_handle_lambda)
-
-    p = sub.add_parser("reflexive", parents=[output], help="categories from arc tables")
-    p.add_argument("action", choices=["build", "check", "enumerate"])
-    p.add_argument("--table", metavar="FILE", help="lines 'name: dom -> cod'")
-    p.add_argument("--builtin", choices=["trefoil", "link"])
-    p.add_argument("--max-len", type=int, default=2, dest="max_len")
-    p.set_defaults(handler=_handle_reflexive)
-
+    for name in dict.fromkeys(key.partition(" ")[0] for key in COMMANDS):
+        rows = {k.partition(" ")[2]: row for k, row in COMMANDS.items() if k.partition(" ")[0] == name}
+        p = sub.add_parser(name, help=GROUPS.get(name) or rows[""].help)
+        p.set_defaults(usage_error=p.error)
+        specs = {flag: kwargs for row in rows.values() for flag, kwargs in OUTPUT + row.args}
+        if "" not in rows:
+            p.add_argument("action", choices=list(rows),
+                           help="; ".join(f"{a}: {r.help}" for a, r in rows.items()))
+            specs = {f: kw if f[0] == "-" else dict(kw, nargs="?") for f, kw in specs.items()}
+        for flag, kwargs in specs.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    as_json = "--json" in argv
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
+        row = COMMANDS[f"{args.command} {args.action}" if "action" in args else args.command]
+        missing = [n for n, _ in row.args if n[0] != "-" and getattr(args, n) is None]
+        if missing:
+            args.usage_error(f"the following arguments are required: {', '.join(missing)}")
+        result, lines, *trace = row.run(args)
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        result, lines, trace = args.handler(args)
-    except DomainError as exc:
-        if args.json:
-            envelope = {"status": "error", "result": {"code": exc.code, "message": str(exc)}}
+    except (DomainError, OSError) as exc:
+        code = exc.code if isinstance(exc, DomainError) else "io"
+        if as_json:
+            envelope = {"status": "error", "result": {"code": code, "message": str(exc)}}
             print(json.dumps(envelope, sort_keys=True))
         else:
-            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return 1
+            sys.stderr.write(exc.usage if code == "usage" else f"error[{code}]: {exc}\n")
+        return 2 if code == "usage" else 1
+    trace = trace[0] if trace and args.trace else None
     if args.json:
         envelope = {"status": "ok", "result": result}
-        if args.trace and trace is not None:
+        if trace is not None:
             envelope["trace"] = trace.to_json()
         print(json.dumps(envelope, sort_keys=True))
     else:
         for line in lines:
             print(line)
-        if args.trace and trace is not None:
+        if trace is not None:
             for i, step in enumerate(trace.steps, 1):
                 suffix = f"  ({step.note})" if step.note else ""
                 print(f"trace {i}. [{step.rule}] {step.arrow}{suffix}")

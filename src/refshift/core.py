@@ -731,8 +731,3 @@ def load_pair_text(text: str) -> CategoricalPair:
     pair = CategoricalPair(cat, is_lambda_pair=lambda_flag, two_category=two_cat_flag)
     arrows = tuple(parse_arrow(pair, spec) for spec in arrow_specs)
     return replace(pair, arrows=arrows)
-
-
-def load_pair(path) -> CategoricalPair:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_pair_text(fh.read())

@@ -1,6 +1,8 @@
 import json
 
-from refshift.cli import run
+import pytest
+
+from refshift.cli import COMMANDS, run
 
 
 def invoke(capsys, *argv):
@@ -226,3 +228,228 @@ def test_category_file_loading(capsys, tmp_path):
     code, out, _ = invoke(capsys, "srt1", "R -> ~ #", "--category", str(cat))
     assert code == 0
     assert out.splitlines()[-1].endswith("#R -> ~#R")
+
+
+# --- golden outputs: one case per COMMANDS row, text and --json ---
+
+REPORT_NOTES = [
+    "printing ~R~R asserts that ~R~R is not printable",
+    "a machine whose printable set contains ~R~R prints a falsehood, witness ~R~R",
+    "hence a truthful machine never prints ~R~R",
+    "every truthful machine omits ~R~R, so ~R~R is true but unprintable",
+]
+RUSSELL_STEPS = [
+    {"dst_word": "~#", "note": "", "rule": "axiom", "src_word": "R"},
+    {"dst_word": "~#R", "note": "", "rule": "shift", "src_word": "#R"},
+]
+REPORT_STEPS = [
+    {"dst_word": "~P[~R~R]", "note": note, "rule": rule, "src_word": "~R~R"}
+    for rule, note in zip(["axiom", "violation", "unprintable", "true"], REPORT_NOTES)
+]
+
+# key: (argv, text stdout, --json result); {model}, {bool}, {tri}, {arcs} name fixture files
+GOLDEN = {
+    "shift": (["shift", "R -> ~ #", "--base", "russell"], "#R -> ~#R\n",
+              {"arrow": "#R -> ~#R", "dst": "~#R", "rule": "shift", "src": "#R"}),
+    "srt1": (["srt1", "R -> ~ #", "--base", "russell"], "1. [axiom] R -> ~#\n2. [shift] #R -> ~#R\n",
+             {"final": "#R -> ~#R", "steps": RUSSELL_STEPS}),
+    "iterate": (["iterate", "--base", "next-simplest", "--arrow", "1_O -> F", "--n", "4"],
+                "# -> F\n## -> F#\n### -> F###\n#^4 -> F#^6\n",
+                {"arrows": ["# -> F", "## -> F#", "### -> F###", "#^4 -> F#^6"],
+                 "rules": ["shift"] * 4, "stop_reason": None}),
+    "smullyan classify": (["smullyan", "classify", "P~R~R"], "P~R~R: P with remainder '~R~R'\n",
+                          {"body": "~R~R", "interpretable": True, "kind": "P", "string": "P~R~R"}),
+    "smullyan arrow": (["smullyan", "arrow", "~R~R"], "~R~R -> ~P[~R~R]\n", {"arrow": "~R~R -> ~P[~R~R]"}),
+    "smullyan semantics": (["smullyan", "semantics", "~R~R", "--model", "{model}"], "false\n",
+                           {"string": "~R~R", "value": False}),
+    "smullyan report": (["smullyan", "report"],
+                        "".join(f"{i}. {note}\n" for i, note in enumerate(REPORT_NOTES, 1)),
+                        {"final_claim": REPORT_NOTES[-1], "steps": REPORT_NOTES}),
+    "violations": (["violations", "--model", "{model}"], "~R~R\n",
+                   {"truthful": False, "violations": ["~R~R"]}),
+    "godel-encode": (["godel-encode", "~P(x)"], "34152\n", {"digit_length": 5, "number": "34152"}),
+    "godel-decode": (["godel-decode", "341", "6x34152", "2"], "~P(|^34152)\n",
+                     {"formula": "~P(|^34152)", "length": 34156}),
+    "godel-sharp": (["godel-sharp", "34152"], "341 6x34152 2\n",
+                    {"digit_length": 34156, "number": "341 6x34152 2"}),
+    "godel-compose": (["godel-compose", "4152", "3"], "41 6x3 2\n",
+                      {"digit_length": 6, "number": "41 6x3 2"}),
+    "self-refuter": (["self-refuter"],
+                     "number:  3417 6x341752 2\nformula: ~P(#|^341752)\n"
+                     "verified: the formula's code is the number it talks about\n",
+                     {"digit_length": 341757, "formula": "~P(#|^341752)", "number": "3417 6x341752 2",
+                      "verified": True}),
+    "lawvere": (["lawvere", "--table", "{bool}", "--alpha", "negation"],
+                "diagonal: 1 1\ndiagonal not represented: no surjection onto the map set\n",
+                {"diagonal": ["1", "1"], "fixed_point": None, "not_surjective": True,
+                 "representation": None}),
+    "threeval": (["threeval", "--table", "{tri}"],
+                 "diagonal: J J\nrepresented by x0, x1; diagonal value J at each\n",
+                 {"diagonal": ["J", "J"], "representations": ["x0", "x1"], "witnessed": True}),
+    "lambda define": (["lambda", "define", "q x = (x x)"], "q x = (x x)\n",
+                      {"body": "(x x)", "name": "q", "var": "x"}),
+    "lambda fixpoint": (["lambda", "fixpoint", "F", "--steps", "2"],
+                        "g0 x = (F (x x))\n(g0 g0)\n(F (g0 g0))\n(F (F (g0 g0)))\n",
+                        {"definition": {"body": "(F (x x))", "name": "g0", "var": "x"},
+                         "fixpoint": "(g0 g0)", "stages": ["(g0 g0)", "(F (g0 g0))", "(F (F (g0 g0)))"]}),
+    "lambda reduce": (["lambda", "reduce", "(q c)", "--define", "q x = a ((b x) x)", "--steps", "5"],
+                      "(a ((b c) c))\n", {"exhausted": False, "steps_used": 1, "term": "(a ((b c) c))"}),
+    "reflexive build": (["reflexive", "build", "--builtin", "trefoil"],
+                        "A: C -> B\nB: A -> C\nC: B -> A\nreflexive: True\n",
+                        {"generators": [{"cod": "B", "dom": "C", "name": "A"},
+                                        {"cod": "C", "dom": "A", "name": "B"},
+                                        {"cod": "A", "dom": "B", "name": "C"}],
+                         "objects": ["A", "B", "C"], "reflexive": True}),
+    "reflexive check": (["reflexive", "check", "--table", "{arcs}"], "reflexive: True\n",
+                        {"reflexive": True}),
+    "reflexive enumerate": (["reflexive", "enumerate", "--builtin", "link", "--max-len", "2"],
+                            "A\nB\nAA\nBB\n", {"count": 4, "words": ["A", "B", "AA", "BB"]}),
+}
+
+# key: (text stdout with --trace, the --json envelope's trace)
+TRACED = {
+    "shift": ("#R -> ~#R\ntrace 1. [axiom] R -> ~#\ntrace 2. [shift] #R -> ~#R\n", {"steps": RUSSELL_STEPS}),
+    "srt1": ("1. [axiom] R -> ~#\n2. [shift] #R -> ~#R\n"
+             "trace 1. [axiom] R -> ~#\ntrace 2. [shift] #R -> ~#R\n", {"steps": RUSSELL_STEPS}),
+    "smullyan report": (
+        "".join(f"{i}. {note}\n" for i, note in enumerate(REPORT_NOTES, 1))
+        + "".join(f"trace {i}. [{s['rule']}] ~R~R -> ~P[~R~R]  ({s['note']})\n"
+                  for i, s in enumerate(REPORT_STEPS, 1)),
+        {"steps": REPORT_STEPS}),
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    files = {
+        "model": ("model.txt", "RR\n~R~R\nP~R~R\n"),
+        "bool": ("bool.json", '{"elements": ["a", "b"], "z_elements": ["0", "1"], '
+                              '"rows": [["0", "1"], ["1", "0"]]}'),
+        "tri": ("tri.json", '{"elements": ["x0", "x1"], "z_elements": ["0", "1", "J"], '
+                            '"rows": [["J", "J"], ["J", "J"]]}'),
+        "arcs": ("arcs.txt", "A: A -> B\nB: B -> A\nC: A -> A\n"),
+    }
+    for key, (name, text) in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return {key: str(tmp_path / name) for key, (name, _) in files.items()}
+
+
+def test_golden_covers_every_row():
+    assert set(GOLDEN) == set(COMMANDS)
+    assert len(COMMANDS) == 21
+
+
+@pytest.mark.parametrize("key", list(GOLDEN))
+def test_golden_output(key, capsys, golden_files):
+    argv, text, result = GOLDEN[key]
+    argv = [a.format(**golden_files) for a in argv]
+    assert invoke(capsys, *argv) == (0, text, "")
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert (code, err, out.count("\n")) == (0, "", 1)
+    assert json.loads(out) == {"status": "ok", "result": result}
+    if key in TRACED:
+        traced_text, trace = TRACED[key]
+        assert invoke(capsys, *argv, "--trace") == (0, traced_text, "")
+        code, payload, _ = invoke_json(capsys, *argv, "--trace")
+        assert payload == {"status": "ok", "result": result, "trace": trace}
+
+
+# --- every failure is typed, and with --json it is an envelope ---
+
+
+def assert_error(capsys, argv, code, exit_code):
+    got, payload, err = invoke_json(capsys, *argv)
+    assert (got, err) == (exit_code, "")
+    assert payload["status"] == "error" and payload["result"]["code"] == code
+    return payload["result"]["message"]
+
+
+def test_usage_errors_are_envelopes(capsys):
+    assert_error(capsys, ["nosuch"], "usage", 2)
+    message = assert_error(capsys, ["shift"], "usage", 2)
+    assert message == "the following arguments are required: arrow"
+    # in text mode argparse's usage report stays on stderr
+    code, out, err = invoke(capsys, "shift")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: refshift shift [-h]")
+    assert err.endswith("refshift shift: error: the following arguments are required: arrow\n")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["smullyan", "classify"], "string"),
+    (["smullyan", "semantics", "--model", "m.txt"], "string"),
+    (["lambda", "reduce"], "term"),
+    (["lambda", "define", "--define", "q x = x"], "term"),
+])
+def test_missing_positional_is_a_usage_error(capsys, argv, name):
+    message = assert_error(capsys, argv, "usage", 2)
+    assert message == f"the following arguments are required: {name}"
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: refshift {argv[0]} ") and err.endswith(f"required: {name}\n")
+
+
+def test_missing_file_is_an_io_envelope(capsys):
+    message = assert_error(capsys, ["violations", "--model", "/nonexistent/model.txt"], "io", 1)
+    assert "/nonexistent/model.txt" in message
+
+
+def test_unreadable_files_are_invalid_definitions(capsys, tmp_path):
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00bin\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"elements": [', encoding="utf-8")
+    for argv in (["violations", "--model", str(binary)],
+                 ["smullyan", "semantics", "RR", "--model", str(binary)],
+                 ["lawvere", "--table", str(binary)],
+                 ["threeval", "--table", str(binary)],
+                 ["reflexive", "check", "--table", str(binary)],
+                 ["shift", "# -> #", "--category", str(binary)]):
+        assert "is not UTF-8 text" in assert_error(capsys, argv, "invalid-definition", 1)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error[invalid-definition]: ")
+    for argv in (["lawvere", "--table", str(bad_json)], ["threeval", "--table", str(bad_json)]):
+        assert assert_error(capsys, argv, "invalid-definition", 1).startswith("table file is not JSON")
+
+
+def test_reflexive_without_source_stays_typed(capsys):
+    message = assert_error(capsys, ["reflexive", "check"], "invalid-definition", 1)
+    assert message == "reflexive needs --builtin or --table"
+
+
+def test_fuel_zero_is_honoured(capsys, tmp_path):
+    cat = tmp_path / "loop.cat"
+    cat.write_text("object O\nsharp # : O\ngenerator u : O -> O\ngenerator v : O -> O\n"
+                   "rule u v => v u\nrule v u => u v\n")
+    argv = ["shift", "u v -> 1_O", "--category", str(cat)]
+    message = assert_error(capsys, argv + ["--fuel", "0"], "rewrite-budget-exceeded", 1)
+    assert message.endswith("exceeded the budget of 0 steps")
+    message = assert_error(capsys, argv, "rewrite-budget-exceeded", 1)
+    assert message.endswith("exceeded the budget of 10000 steps")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_iterate_rejects_nonpositive_n(capsys, n):
+    message = assert_error(capsys, ["iterate", "--n", n], "usage", 2)
+    assert message == f"argument --n: must be at least 1, got {n}"
+    code, out, err = invoke(capsys, "iterate", "--n", n)
+    assert (code, out) == (2, "") and err.startswith("usage: refshift iterate")
+
+
+def test_two_category_flag_is_gone(capsys):
+    message = assert_error(capsys, ["shift", "1_O -> 1_O", "--two-category"], "usage", 2)
+    assert message == "unrecognized arguments: --two-category"
+
+
+@pytest.mark.parametrize("argv,canonical", [
+    (["smullyan", "--json", "report"], ["smullyan", "report", "--json"]),
+    (["smullyan", "report", "extra"], ["smullyan", "report"]),
+    (["reflexive", "--builtin", "link", "enumerate"], ["reflexive", "enumerate", "--builtin", "link"]),
+    (["reflexive", "build", "--builtin", "link", "--max-len", "3"],
+     ["reflexive", "build", "--builtin", "link"]),
+    (["lambda", "--steps", "2", "fixpoint", "F"], ["lambda", "fixpoint", "F", "--steps", "2"]),
+])
+def test_action_arguments_in_any_order(capsys, argv, canonical):
+    # one parser per command takes the options of all its actions, before or after the action
+    assert invoke(capsys, *argv) == invoke(capsys, *canonical)
+    assert invoke(capsys, *argv)[0] == 0
