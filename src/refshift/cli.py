@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import core, fixpoint, godel, lawvere, reflexive, smullyan
 from .errors import DomainError, InvalidDefinition, InvalidSymbol
+from .runs import count_text
 
 
 class UsageError(DomainError):
@@ -128,8 +129,18 @@ def _wire(*tokens: str) -> godel.GodelNumber:
     return godel.GodelNumber.from_wire(" ".join(tokens))
 
 
+def _count(n: int):
+    """A count for an envelope: the int below the interpreter's int/str digit limit,
+    which json.dumps cannot print past, and its decimal text from there on."""
+    try:
+        str(n)
+    except ValueError:
+        return count_text(n)
+    return n
+
+
 def _number(number: godel.GodelNumber, materialize: bool = False):
-    result = {"number": number.wire(), "digit_length": number.digit_length}
+    result = {"number": number.wire(), "digit_length": _count(number.digit_length)}
     if materialize:
         result["digits"] = number.digits()
     return result, [result["digits"] if materialize else result["number"]]
@@ -203,7 +214,7 @@ def _violations(args):
 
 def _godel_decode(args):
     formula = godel.decode(_wire(*args.number))
-    result = {"formula": str(formula), "length": formula.length}
+    result = {"formula": str(formula), "length": _count(formula.length)}
     if args.materialize:
         result["text"] = formula.text()
     return result, [result["text"] if args.materialize else result["formula"]]
@@ -252,6 +263,7 @@ def _define(args):
 
 def _fixpoint(args):
     rewriter = _rewriter(args)
+    rewriter.check_steps(args.steps)  # each stage below is one step of the same budget
     current = fixpoint.fixed_point(fixpoint.parse_term(args.term), rewriter)
     d = rewriter.defs[current.left.name]
     definition = {"name": current.left.name, "var": d.var, "body": str(d.body)}

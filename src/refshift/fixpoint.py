@@ -130,6 +130,11 @@ class Rewriter:
         self.defs[name] = ReflexiveDef(name, var, body)
         return Atom(name)
 
+    def check_steps(self, steps: int) -> None:
+        """Refuse a request for more reduction steps than the fuel budget."""
+        if steps > self.fuel:
+            raise InvalidDefinition(f"requested {steps} steps but the fuel budget is {self.fuel}")
+
     def fresh_name(self, avoid: set[str]) -> str:
         taken = set(self.defs) | avoid
         for d in self.defs.values():
@@ -179,8 +184,7 @@ def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
     when a child changed.  No position is searched twice, so a step costs
     O(body size) plus the new nodes it exposes, and nothing recurses.
     """
-    if steps > r.fuel:
-        raise InvalidDefinition(f"requested {steps} steps but the fuel budget is {r.fuel}")
+    r.check_steps(steps)
     defs = r.defs
     path: list[tuple[Apply, bool]] = []
     focus = t

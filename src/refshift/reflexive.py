@@ -10,10 +10,13 @@ objects, enumerable by word length.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Category, Generator, Word, concat
-from .errors import DanglingArc, InvalidDefinition
+from .errors import DanglingArc, EnumerationCapExceeded, InvalidDefinition
+
+ENUMERATION_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,24 @@ def is_reflexive(cat) -> bool:
 
 
 def enumerate_composites(cat, max_len: int) -> set[Word]:
-    """All chainable generator words of length 1..max_len under free composition."""
+    """All chainable generator words of length 1..max_len under free composition.
+
+    Raises EnumerationCapExceeded before building a length whose words would
+    bring the total past ENUMERATION_CAP.
+    """
     if max_len < 1:
         raise InvalidDefinition("max_len must be at least 1")
     core = _core_category(cat)
     singles = [Word.of(g) for g in core.generators if not g.is_sharp]
+    into = Counter(g.cod for g in singles)  # object -> generators that end there
     frontier = singles
     words: set[Word] = set(frontier)
-    for _ in range(max_len - 1):
+    for length in range(2, max_len + 1):
+        total = len(words) + sum(into[w.dom] for w in frontier)
+        if total > ENUMERATION_CAP:
+            raise EnumerationCapExceeded(
+                f"{total} composites of length at most {length} exceed the cap of {ENUMERATION_CAP}"
+            )
         frontier = [concat(w, g) for w in frontier for g in singles if g.cod == w.dom]
         words.update(frontier)
     return words

@@ -453,3 +453,40 @@ def test_action_arguments_in_any_order(capsys, argv, canonical):
     # one parser per command takes the options of all its actions, before or after the action
     assert invoke(capsys, *argv) == invoke(capsys, *canonical)
     assert invoke(capsys, *argv)[0] == 0
+
+
+def test_counts_past_the_int_str_limit_are_decimal_text(capsys):
+    # json.dumps cannot print an int past the interpreter's 4300-digit limit
+    code, payload, err = invoke_json(capsys, "godel-sharp", "5x100000")
+    assert (code, err, payload["status"]) == (0, "", "ok")
+    digit_length = payload["result"]["digit_length"]
+    assert isinstance(digit_length, str) and len(digit_length) == 100005
+    assert digit_length == "5" * 100000 + "00000"  # 10**5 fives, each 55...5 (10**5 digits) sixes long
+    huge = "1" * 5001
+    code, payload, err = invoke_json(capsys, "godel-decode", f"5x{huge}")
+    assert (code, err) == (0, "")
+    assert payload["result"]["length"] == huge
+    code, payload, _ = invoke_json(capsys, "godel-decode", "5x" + "1" * 4300)
+    assert payload["result"]["length"] == int("1" * 4300)
+
+
+def test_enumeration_cap_is_a_typed_error(capsys, tmp_path):
+    arcs = tmp_path / "fan.txt"
+    arcs.write_text("".join(f"a{i}: a0 -> a0\n" for i in range(400)))
+    argv = ["reflexive", "enumerate", "--table", str(arcs)]
+    code, payload, _ = invoke_json(capsys, *argv, "--max-len", "1")
+    assert code == 0 and payload["result"]["count"] == 400
+    message = assert_error(capsys, argv + ["--max-len", "2"], "enumeration-cap-exceeded", 1)
+    assert message == "160400 composites of length at most 2 exceed the cap of 100000"
+    code, out, err = invoke(capsys, *argv, "--max-len", "2")
+    assert (code, out) == (1, "") and err.startswith("error[enumeration-cap-exceeded]: ")
+
+
+def test_fixpoint_steps_are_bounded_by_fuel(capsys):
+    argv = ["lambda", "fixpoint", "F", "--steps", "5", "--fuel", "2"]
+    message = assert_error(capsys, argv, "invalid-definition", 1)
+    assert message == "requested 5 steps but the fuel budget is 2"
+    reduce_argv = ["lambda", "reduce", "g g", "--define", "g x = F (x x)", "--steps", "5", "--fuel", "2"]
+    assert assert_error(capsys, reduce_argv, "invalid-definition", 1) == message
+    code, payload, _ = invoke_json(capsys, "lambda", "fixpoint", "F", "--steps", "2", "--fuel", "2")
+    assert code == 0 and len(payload["result"]["stages"]) == 3

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refshift import godel
 from refshift.godel import (
@@ -103,6 +103,39 @@ def test_number_value_and_length():
     assert GodelNumber(((6, 3),)).value() == 666
     assert GodelNumber(((3, 1), (6, 5), (2, 1))).value() == 3666662
     assert GodelNumber(((6, 34152),)).digit_length == 34152
+
+
+def horner_value(runs):
+    """The value read run by run, left to right: the oracle for GodelNumber.value()."""
+    v = 0
+    for digit, count in runs:
+        v = v * 10**count + digit * (10**count - 1) // 9
+    return v
+
+
+# a few fixed counts make repeated run lengths, which share one power in value()
+run_counts = st.one_of(st.sampled_from([1, 2, 3, 9, 64]), st.integers(1, 200))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 7), run_counts), min_size=1, max_size=300))
+@example([(5, 1)])
+@example([(d % 7 + 1, 1) for d in range(17)])
+@example([(d % 7 + 1, 64) for d in range(33)])
+def test_value_matches_horner(runs):
+    g = GodelNumber(normalize_runs(runs))
+    assert g.value() == horner_value(g.runs)
+
+
+def test_self_refuter_value_mod_prime():
+    number, _ = build_self_refuter()
+    p = 2**61 - 1
+    inverse_nine = pow(9, -1, p)
+    residue = 0
+    for digit, count in number.runs:
+        t = pow(10, count, p)
+        residue = (residue * t + digit * (t - 1) * inverse_nine) % p
+    assert number.value() % p == residue
 
 
 def test_wire_format():
