@@ -36,7 +36,6 @@ CHAR_TO_DIGIT = {ch: i + 1 for i, ch in enumerate(ALPHABET)}
 DIGIT_TO_CHAR = {i + 1: ch for i, ch in enumerate(ALPHABET)}
 
 _MATERIALIZE_CAP = 10**6
-_HORNER_RUNS = 8  # runs per slice that value() evaluates left to right before joining
 
 
 @dataclass(frozen=True)
@@ -155,29 +154,16 @@ class GodelNumber:
         """The numeric value, evaluated on the runs without expanding digits.
 
         Each distinct run length c gets one power 10**c, formed as 5**c << c,
-        which serves both the run's shift and its repunit d*(10**c - 1)//9.
-        Slices of _HORNER_RUNS runs are evaluated left to right, and slices
-        are joined pairwise as left * 10**len(right) + right, so the cost is
-        one power per distinct run length plus O(log runs) levels of
-        multiplies.  Nothing is kept between calls.
+        which serves both the run's shift and its repunit d*(10**c - 1)//9,
+        so the cost is one power per distinct run length plus one multiply
+        per run.  Nothing is kept between calls.
         """
         powers = {count: 5**count << count for count in {count for _, count in self.runs}}
-        # (value, 10**digit_length) of each slice; the leftmost block's power
-        # is never read, so it is not formed
-        blocks = []
-        for start in range(0, len(self.runs), _HORNER_RUNS):
-            v, p = 0, 1
-            for digit, count in self.runs[start : start + _HORNER_RUNS]:
-                q = powers[count]
-                v = v * q + digit * (q - 1) // 9
-                if start:
-                    p *= q
-            blocks.append((v, p))
-        while len(blocks) > 1:
-            pairs = enumerate(zip(blocks[::2], blocks[1::2]))
-            joined = [(lv * rp + rv, i and lp * rp) for i, ((lv, lp), (rv, rp)) in pairs]
-            blocks = joined + blocks[2 * len(joined) :]
-        return blocks[0][0]
+        v = 0
+        for digit, count in self.runs:
+            q = powers[count]
+            v = v * q + digit * (q - 1) // 9
+        return v
 
     def digits(self, cap: int = _MATERIALIZE_CAP) -> str:
         if self.digit_length > cap:

@@ -107,6 +107,8 @@ def enumerate_composites(cat, max_len: int) -> set[Word]:
     frontier = singles
     words: set[Word] = set(frontier)
     for length in range(2, max_len + 1):
+        if not frontier:  # no word extends, so no longer word exists
+            break
         total = len(words) + sum(into[w.dom] for w in frontier)
         if total > ENUMERATION_CAP:
             raise EnumerationCapExceeded(

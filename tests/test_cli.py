@@ -482,6 +482,14 @@ def test_enumeration_cap_is_a_typed_error(capsys, tmp_path):
     assert (code, out) == (1, "") and err.startswith("error[enumeration-cap-exceeded]: ")
 
 
+def test_enumeration_stops_when_no_word_extends(capsys, tmp_path):
+    # an acyclic table has no composite longer than its longest path, whatever --max-len says
+    arcs = tmp_path / "acyclic.txt"
+    arcs.write_text("a: b -> c\nb: a -> c\nc: a -> b\n")
+    code, payload, _ = invoke_json(capsys, "reflexive", "enumerate", "--table", str(arcs), "--max-len", "1000000000")
+    assert code == 0 and payload["result"] == {"count": 4, "words": ["a", "b", "c", "ac"]}
+
+
 def test_fixpoint_steps_are_bounded_by_fuel(capsys):
     argv = ["lambda", "fixpoint", "F", "--steps", "5", "--fuel", "2"]
     message = assert_error(capsys, argv, "invalid-definition", 1)
