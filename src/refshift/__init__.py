@@ -34,6 +34,7 @@ from .core import (
     iterate_shift,
     load_pair_text,
     parse_arrow,
+    shift,
     shift_step,
     srt1,
     vertical_compose,
@@ -61,6 +62,7 @@ __all__ = [
     "iterate_shift",
     "load_pair_text",
     "parse_arrow",
+    "shift",
     "shift_step",
     "srt1",
     "vertical_compose",

@@ -150,7 +150,7 @@ def _shift(args):
     pair = _pair(args)
     arrow = core.parse_arrow(pair, args.arrow)
     shifted, rule = core.shift_step(pair, arrow)
-    trace = core.Derivation((core.DerivationStep("axiom", arrow), core.DerivationStep(rule, shifted)))
+    trace = core.shift_derivation(arrow, shifted, rule)
     result = {"arrow": str(shifted), "src": str(shifted.src), "dst": str(shifted.dst), "rule": rule}
     return result, [str(shifted)], trace
 

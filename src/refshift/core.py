@@ -3,11 +3,11 @@
 The base level is a category presented by generators and optional rewrite
 rules: morphisms are chainable words of generators, composition is
 concatenation followed by normalization under the rules.  The second level
-consists of reference arrows between those words.  A composable reference
-(a -> b) shifts to (#a -> ba), where # is the distinguished self-morphism
-attached to the codomain object of a; iterating the shift produces indirect
-self-reference, and srt1 packages the one-step derivation (g -> F#) =>
-(#g -> F#g).
+consists of reference arrows between those words.  ``shift`` states the
+indicative shift once: a composable (a -> b) becomes (#a -> ba) for the
+sharp # each engine picks: the sharp generator at a's codomain, a itself in
+a lambda pair (#a = aa), or godel's SHARP.  Iterating it yields indirect
+self-reference; srt1 packages the one-step derivation (g -> F#) => (#g -> F#g).
 
 Words are stored outermost-first: the word F#g means F after # after g, so
 its first generator is the last one applied.  Equality of morphisms is word
@@ -17,6 +17,7 @@ equality after normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -380,7 +381,7 @@ class Category:
 
 @dataclass(frozen=True)
 class RefArrow:
-    """A reference arrow between two words of the same base category."""
+    """A reference arrow between two morphisms of one base category."""
 
     src: Word
     dst: Word
@@ -420,7 +421,7 @@ class CategoricalPair:
 @dataclass(frozen=True)
 class DerivationStep:
     rule: str
-    arrow: object  # anything with .src/.dst and a sensible str()
+    arrow: RefArrow
     note: str = ""
 
 
@@ -495,34 +496,46 @@ def is_composable_reference(pair: CategoricalPair, r: RefArrow) -> bool:
     return r.src.cod == r.dst.dom
 
 
+def shift(compose, sharp, r: RefArrow) -> RefArrow:
+    """The indicative shift (a -> b) => (#a -> ba) of a composable reference.
+
+    compose(f, g) is "f after g" and sharp is the # at a's codomain; the
+    caller checks that the shift applies.
+    """
+    return RefArrow(compose(sharp, r.src), compose(r.dst, r.src))
+
+
+def shift_derivation(axiom: RefArrow, shifted: RefArrow, rule: str) -> Derivation:
+    """The two-step derivation: the axiom, then its shift under the named rule."""
+    return Derivation((DerivationStep("axiom", axiom), DerivationStep(rule, shifted)))
+
+
 def shift_step(pair: CategoricalPair, r: RefArrow) -> tuple[RefArrow, str]:
     """The shifted arrow plus the inference label used to produce it.
 
-    In a lambda pair a self-morphism source uses #a = aa (label
-    "shift-lambda"); otherwise the sharp generator at the source's codomain
-    is prepended (label "shift", or "shift-sharp-fallback" when a lambda
-    pair falls back to a free sharp for a non-self source).
+    In a lambda pair a self-morphism source a is its own sharp, #a = aa
+    (label "shift-lambda"); otherwise the sharp generator at the source's
+    codomain is the sharp (label "shift", or "shift-sharp-fallback" when a
+    lambda pair falls back to a free sharp for a non-self source).
     """
     if not is_composable_reference(pair, r):
         raise NotComposable(
             f"{r} is not a composable reference: codomain {r.src.cod} != domain {r.dst.dom}"
         )
     if pair.is_lambda_pair and r.src.is_self_morphism:
-        # #a = aa: the shift is horizontal composition with the identity on a.
-        return horizontal_compose(pair, r, RefArrow(r.src, r.src)), "shift-lambda"
-    sharp = pair.base.sharp_at(r.src.cod)
-    if sharp is None:
-        raise NoSharpGenerator(f"no sharp generator at object {r.src.cod!r}")
-    label = "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
-    shifted_src = compose(pair.base, Word.of(sharp), r.src)
-    shifted_dst = compose(pair.base, r.dst, r.src)
-    return RefArrow(shifted_src, shifted_dst), label
+        sharp, label = r.src, "shift-lambda"
+    else:
+        gen = pair.base.sharp_at(r.src.cod)
+        if gen is None:
+            raise NoSharpGenerator(f"no sharp generator at object {r.src.cod!r}")
+        sharp = Word._trusted(((gen, 1),), gen.dom, gen.cod, 1)
+        label = "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
+    return shift(partial(compose, pair.base), sharp, r), label
 
 
 def indicative_shift(pair: CategoricalPair, r: RefArrow) -> RefArrow:
     """Send a composable reference (a -> b) to (#a -> ba)."""
-    arrow, _ = shift_step(pair, r)
-    return arrow
+    return shift_step(pair, r)[0]
 
 
 def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
@@ -535,10 +548,7 @@ def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
         raise NotSrt1Shape(
             f"{r} does not end in the sharp of {r.src.cod!r}; expected a target of shape F#"
         )
-    if not is_composable_reference(pair, r):
-        raise NotComposable(f"{r} is not a composable reference")
-    shifted, label = shift_step(pair, r)
-    return Derivation((DerivationStep("axiom", r), DerivationStep(label, shifted)))
+    return shift_derivation(r, *shift_step(pair, r))
 
 
 def iterate_shift(pair: CategoricalPair, r: RefArrow, n: int) -> ShiftSequence:

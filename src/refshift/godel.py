@@ -12,6 +12,9 @@ expanded to unary, and digit strings are only materialized on demand.
 The sharp operation is self-substitution: sharp(g) composes g with itself,
 giving the code of the decoded formula applied to its own numeral.  Applied
 to the code of ~P(#x) this produces a formula that talks about its own code.
+
+Reference arrows (code -> formula) are core.RefArrows, shifted by core.shift
+with compose_morphisms and SHARP: (g -> F) becomes (#g -> Fg).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .core import Derivation, DerivationStep
+from .core import Derivation, RefArrow, shift, shift_derivation
 from .errors import (
     EmptyFormula,
     InvalidAxiom,
@@ -349,40 +352,27 @@ def compose_morphisms(a: LMorphism, b: LMorphism) -> LMorphism:
 
 
 @dataclass(frozen=True)
-class NumberArrow:
-    """A reference from a code number to a formula of the language."""
-
-    src: LMorphism
-    dst: LMorphism
-
-    def __str__(self):
-        return f"{self.src} -> {self.dst}"
-
-
-@dataclass(frozen=True)
 class GodelPair:
     """Finite axiom arrows (code -> formula), closed under the shift."""
 
-    axioms: tuple[NumberArrow, ...]
+    axioms: tuple[RefArrow, ...]
 
-    def indicative_shift(self, arrow: NumberArrow) -> NumberArrow:
+    def indicative_shift(self, arrow: RefArrow) -> RefArrow:
         """(g -> F) becomes (sharp g -> F with g's numeral substituted)."""
         if not isinstance(arrow.src, Num) or not isinstance(arrow.dst, Fml):
             raise NotComposable("the shift applies to (number -> formula) arrows")
-        g = arrow.src.number
-        if not g.has_five:
+        if not arrow.src.number.has_five:
             raise NotComposable("the coded formula has no free variable, so no shift applies")
-        return NumberArrow(Num(sharp_decimal(g)), compose_morphisms(arrow.dst, arrow.src))
+        return shift(compose_morphisms, SHARP, arrow)
 
-    def srt1(self, arrow: NumberArrow) -> Derivation:
+    def srt1(self, arrow: RefArrow) -> Derivation:
         """Shift an axiom whose formula mentions #x, yielding self-description."""
         if not isinstance(arrow.dst, Fml):
             raise NotSrt1Shape("expected a formula target")
         runs = arrow.dst.formula.runs
         if not any(a == "#" and b == "x" for (a, _), (b, _) in zip(runs, runs[1:])):
             raise NotSrt1Shape(f"{arrow.dst} does not apply # to its variable")
-        shifted = self.indicative_shift(arrow)
-        return Derivation((DerivationStep("axiom", arrow), DerivationStep("shift", shifted)))
+        return shift_derivation(arrow, self.indicative_shift(arrow), "shift")
 
 
 def reference_pair(axioms: Iterable[tuple[GodelNumber, Formula]]) -> GodelPair:
@@ -391,7 +381,7 @@ def reference_pair(axioms: Iterable[tuple[GodelNumber, Formula]]) -> GodelPair:
     for g, f in axioms:
         if encode(f) != g:
             raise InvalidAxiom(f"{g.wire()} is not the code of {f}")
-        checked.append(NumberArrow(Num(g), Fml(f)))
+        checked.append(RefArrow(Num(g), Fml(f)))
     return GodelPair(tuple(checked))
 
 

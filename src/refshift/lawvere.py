@@ -59,6 +59,13 @@ class FinMap:
 
     @classmethod
     def from_dict(cls, dom: FinSet, cod: FinSet, mapping: dict) -> "FinMap":
+        """The map x -> mapping[x]; mapping must assign every element of dom and nothing else."""
+        missing = [x for x in dom if x not in mapping]
+        if missing:
+            raise InvalidDefinition(f"the map assigns no value to {', '.join(missing)}")
+        unknown = [x for x in mapping if x not in dom.elements]
+        if unknown:
+            raise InvalidDefinition(f"{', '.join(unknown)} not in the domain {', '.join(dom)}")
         return cls(dom, cod, tuple(mapping[x] for x in dom))
 
     def __call__(self, x: str) -> str:
@@ -150,7 +157,6 @@ def lawvere_fixed_point(F: CurriedMap, alpha: FinMap) -> tuple[str, str]:
     and (value, a) is returned.  When no row represents C the map F cannot be
     surjective onto [X, Z]; this is confirmed exhaustively before raising.
     """
-    _check_post_map(F, alpha)
     C = cantor_diagonal(F, alpha)
     a = find_representation(F, C)
     if a is not None:

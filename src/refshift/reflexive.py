@@ -65,13 +65,12 @@ class DiagramCategory:
     """The category induced by an arc table: objects are the arcs themselves."""
 
     category: Category
-    arc_names: tuple[str, ...]
 
 
 def build(table: ArcTable) -> DiagramCategory:
     """Objects = arcs, one generator per arc; identities are the empty words."""
     gens = tuple(Generator(name, dom, cod) for name, dom, cod in table.rows)
-    return DiagramCategory(Category(frozenset(table.arcs), gens), table.arcs)
+    return DiagramCategory(Category(frozenset(table.arcs), gens))
 
 
 def _core_category(cat) -> Category:

@@ -142,18 +142,10 @@ def goedel_miniature_report() -> Derivation:
         raise AssertionError("~R~R failed to witness its own violation")
     if semantics(SELF_REFUTER, MachineModel(frozenset())) is not True:
         raise AssertionError("~R~R failed to come out true when unprinted")
-    steps = (
-        DerivationStep("axiom", arrow, "printing ~R~R asserts that ~R~R is not printable"),
-        DerivationStep(
-            "violation",
-            arrow,
-            "a machine whose printable set contains ~R~R prints a falsehood, witness ~R~R",
-        ),
-        DerivationStep("unprintable", arrow, "hence a truthful machine never prints ~R~R"),
-        DerivationStep(
-            "true",
-            arrow,
-            "every truthful machine omits ~R~R, so ~R~R is true but unprintable",
-        ),
+    notes = (
+        ("axiom", "printing ~R~R asserts that ~R~R is not printable"),
+        ("violation", "a machine whose printable set contains ~R~R prints a falsehood, witness ~R~R"),
+        ("unprintable", "hence a truthful machine never prints ~R~R"),
+        ("true", "every truthful machine omits ~R~R, so ~R~R is true but unprintable"),
     )
-    return Derivation(steps)
+    return Derivation(tuple(DerivationStep(rule, arrow, note) for rule, note in notes))

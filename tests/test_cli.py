@@ -498,3 +498,15 @@ def test_fixpoint_steps_are_bounded_by_fuel(capsys):
     assert assert_error(capsys, reduce_argv, "invalid-definition", 1) == message
     code, payload, _ = invoke_json(capsys, "lambda", "fixpoint", "F", "--steps", "2", "--fuel", "2")
     assert code == 0 and len(payload["result"]["stages"]) == 3
+
+
+@pytest.mark.parametrize("alpha,message", [
+    ("0:1", "the map assigns no value to 1"),
+    ("0:1,1:0,2:0", "2 not in the domain 0, 1"),
+])
+def test_alpha_must_assign_exactly_the_base_codomain(capsys, tmp_path, alpha, message):
+    table = _write_table(tmp_path, [["0", "1"], ["1", "0"]], ["0", "1"])
+    argv = ["lawvere", "--table", table, "--alpha", alpha]
+    assert assert_error(capsys, argv, "invalid-definition", 1) == message
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error[invalid-definition]: {message}\n")

@@ -21,6 +21,7 @@ from refshift.core import (
     iterate_shift,
     load_pair_text,
     parse_arrow,
+    shift_step,
     srt1,
     vertical_compose,
 )
@@ -737,3 +738,35 @@ def test_resumed_normalize_matches_restart(rules, names):
             cat.normalize(word)
     else:
         assert cat.normalize(word) == expected
+
+
+# --- the lambda shift against horizontal composition ---
+
+# one rule, so the composites are normalized; h leaves O, so targets may end at P
+LAMBDA_PAIR = load_pair_text("""\
+object O P
+sharp # : O
+sharp % : P
+generator F : O -> O
+generator G : O -> O
+generator h : O -> P
+rule G F => F G
+flags lambda
+""")
+
+
+@st.composite
+def self_words(draw):
+    """A self-morphism of O as runs over F, G and the sharp #."""
+    runs = draw(st.lists(st.tuples(st.sampled_from("FG#"), st.integers(1, 4)), max_size=4))
+    return Word.from_runs([(LAMBDA_PAIR.base.generator(n), c) for n, c in runs], "O", "O")
+
+
+@given(self_words(), self_words(), st.sampled_from([(), ("h",), ("%", "h")]))
+def test_lambda_shift_is_horizontal_composition_with_the_source(src, dst, prefix):
+    # #a = aa: shifting (a -> b) is the horizontal composite (a -> b) o0 (a -> a)
+    if prefix:
+        dst = compose(LAMBDA_PAIR.base, LAMBDA_PAIR.base.word(list(prefix)), dst)
+    r = RefArrow(src, dst)
+    oracle = horizontal_compose(LAMBDA_PAIR, r, RefArrow(src, src))
+    assert shift_step(LAMBDA_PAIR, r) == (oracle, "shift-lambda")

@@ -401,3 +401,15 @@ def test_reference_pair_shift_needs_variable():
     pair = reference_pair([(gn(666), parse("|||"))])
     with pytest.raises(NotComposable):
         pair.indicative_shift(pair.axioms[0])
+
+
+# formulas of at most five symbols, so codes stay below 10**5
+formulas_with_var = st.builds(lambda a, b: parse(a + "x" + b),
+                              st.text(godel.ALPHABET, max_size=2), st.text(godel.ALPHABET, max_size=2))
+
+
+@given(formulas_with_var)
+def test_reference_pair_is_closed_under_the_shift(f):
+    pair = reference_pair([(encode(f), f)])
+    shifted = pair.indicative_shift(pair.axioms[0])
+    assert encode(shifted.dst.formula) == shifted.src.number
