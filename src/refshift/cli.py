@@ -90,7 +90,10 @@ def _parse_alpha(spec: str, z: lawvere.FinSet) -> lawvere.FinMap:
         src, _, dst = part.partition(":")
         if not dst:
             raise InvalidDefinition(f"bad alpha entry {part!r}; expected src:dst")
-        mapping[src.strip()] = dst.strip()
+        src = src.strip()
+        if src in mapping:
+            raise InvalidDefinition(f"alpha maps {src} more than once")
+        mapping[src] = dst.strip()
     return lawvere.FinMap.from_dict(z, z, mapping)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NotTwoCategory,
     RewriteBudgetExceeded,
 )
-from .runs import parse, parse_token, render
+from .runs import merge_runs, parse, parse_token, render
 
 DEFAULT_REWRITE_BUDGET = 10_000
 
@@ -151,37 +151,27 @@ class Word:
 
 
 def _chained(runs, dom: str, cod: str) -> tuple[tuple, int]:
-    """Maximal runs of (generator, count) pairs, and their length.
+    """Maximal runs of (generator, count) pairs, fused by merge_runs, and their length.
 
     Raises ChainMismatch where the word does not chain from dom to cod.  A
     run of two or more copies chains only for a self-morphism, and adjacent
     runs chain at one seam, so the check costs one step per run; the pair
     it reports is the first a generator-by-generator scan would find.
     """
-    out: list[tuple[Generator, int]] = []
-    length = 0
+    runs, length = merge_runs(runs, InvalidDefinition, _same)
+    left = None
     for g, count in runs:
-        if count < 1:
-            raise InvalidDefinition(f"run count must be >= 1, got {count}")
-        length += count
-        if out:
-            left, seen = out[-1]
-            if _same(g, left):
-                if g.dom != g.cod:
-                    _no_chain(g, g)
-                out[-1] = (left, seen + count)
-                continue
-            if left.dom != g.cod:
-                _no_chain(left, g)
+        if left is not None and left.dom != g.cod:
+            _no_chain(left, g)
         if count > 1 and g.dom != g.cod:
             _no_chain(g, g)
-        out.append((g, count))
-    if out:
-        if dom != out[-1][0].dom or cod != out[0][0].cod:
+        left = g
+    if runs:
+        if dom != runs[-1][0].dom or cod != runs[0][0].cod:
             raise ChainMismatch("word endpoints do not match its generator sequence")
     elif dom != cod:
         raise ChainMismatch("the empty word is an identity and needs dom == cod")
-    return tuple(out), length
+    return runs, length
 
 
 def _same(a: Generator, b: Generator) -> bool:

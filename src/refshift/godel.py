@@ -4,10 +4,11 @@ Symbols ( ) ~ P x | # map to digits 1..7; the code of a formula is the
 digit string of its symbols read in decimal.  Substituting a number g into
 the variable x replaces it with a run of g vertical slashes, so at the digit
 level every 5 becomes a run of value(g) sixes.  Those runs reach hundreds of
-thousands of digits, so both formulas and numbers are stored run-length
-encoded: a sequence of (symbol, count) / (digit, count) runs with adjacent
-runs distinct.  Counts are ordinary Python integers; nothing is ever
-expanded to unary, and digit strings are only materialized on demand.
+thousands of digits, so both formulas and numbers are maximal (symbol,
+count) / (digit, count) runs, built and checked by refshift.runs in one
+class body that Formula and GodelNumber share.  Counts are ordinary Python
+integers; nothing is ever expanded to unary, and digit strings are only
+materialized on demand.
 
 The sharp operation is self-substitution: sharp(g) composes g with itself,
 giving the code of the decoded formula applied to its own numeral.  Applied
@@ -42,25 +43,36 @@ _MATERIALIZE_CAP = 10**6
 
 
 @dataclass(frozen=True)
-class Formula:
-    """A run-length encoded string over the seven-symbol alphabet."""
+class _Runs:
+    """Maximal (name, count) runs over the alphabet NAMES; a nonempty EMPTY is the error for no runs."""
 
-    runs: tuple[tuple[str, int], ...]
+    runs: tuple
+
+    EMPTY = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(tuple(r) for r in self.runs))
-        for ch, _ in self.runs:
-            if ch not in CHAR_TO_DIGIT:
-                raise InvalidSymbol(f"symbol {ch!r} is not in the alphabet {ALPHABET}")
-        check_runs(self.runs, InvalidSymbol)
+        object.__setattr__(self, "runs", check_runs(self.runs, self.NAMES, InvalidSymbol))
+        if self.EMPTY and not self.runs:
+            raise InvalidSymbol(self.EMPTY)
 
     @classmethod
-    def from_runs(cls, runs) -> "Formula":
-        return cls(merge_runs(runs, InvalidSymbol))
+    def from_runs(cls, runs):
+        return cls(merge_runs(runs, InvalidSymbol)[0])
 
     @property
     def length(self) -> int:
         return sum(count for _, count in self.runs)
+
+    def text(self, cap: int = _MATERIALIZE_CAP) -> str:
+        if self.length > cap:
+            raise MaterializeTooLarge(f"{self.length} symbols exceed the materialize cap of {cap}")
+        return "".join(str(name) * count for name, count in self.runs)
+
+
+class Formula(_Runs):
+    """A run-length encoded string over the seven-symbol alphabet."""
+
+    NAMES = CHAR_TO_DIGIT
 
     @property
     def has_var(self) -> bool:
@@ -73,11 +85,6 @@ class Formula:
     @property
     def is_numeral(self) -> bool:
         return len(self.runs) == 1 and self.runs[0][0] == "|"
-
-    def text(self, cap: int = _MATERIALIZE_CAP) -> str:
-        if self.length > cap:
-            raise MaterializeTooLarge(f"formula has {self.length} symbols, cap is {cap}")
-        return "".join(ch * count for ch, count in self.runs)
 
     def __str__(self):
         return render(self.runs)
@@ -100,24 +107,11 @@ def numeral(n: int) -> Formula:
     return Formula((("|", n),))
 
 
-@dataclass(frozen=True)
-class GodelNumber:
+class GodelNumber(_Runs):
     """A decimal number over digits 1..7, run-length encoded."""
 
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(tuple(r) for r in self.runs))
-        if not self.runs:
-            raise InvalidSymbol("a Goedel number has at least one digit")
-        for digit, _ in self.runs:
-            if digit not in DIGIT_TO_CHAR:
-                raise InvalidSymbol(f"digit {digit} is outside the coding range 1-7")
-        check_runs(self.runs, InvalidSymbol)
-
-    @classmethod
-    def from_runs(cls, runs) -> "GodelNumber":
-        return cls(merge_runs(runs, InvalidSymbol))
+    NAMES = DIGIT_TO_CHAR
+    EMPTY = "a Goedel number has at least one digit"
 
     @classmethod
     def from_int(cls, n: int) -> "GodelNumber":
@@ -145,9 +139,8 @@ class GodelNumber:
                 runs.extend((int(d), 1) for d in tok)
         return cls.from_runs(runs)
 
-    @property
-    def digit_length(self) -> int:
-        return sum(count for _, count in self.runs)
+    digit_length = _Runs.length
+    digits = _Runs.text
 
     @property
     def has_five(self) -> bool:
@@ -167,11 +160,6 @@ class GodelNumber:
             q = powers[count]
             v = v * q + digit * (q - 1) // 9
         return v
-
-    def digits(self, cap: int = _MATERIALIZE_CAP) -> str:
-        if self.digit_length > cap:
-            raise MaterializeTooLarge(f"number has {self.digit_length} digits, cap is {cap}")
-        return "".join(str(d) * count for d, count in self.runs)
 
     def wire(self) -> str:
         """Wire format: runs of one as grouped digits, longer runs as dxN ("341 6x34152 2")."""
@@ -332,20 +320,17 @@ def compose_morphisms(a: LMorphism, b: LMorphism) -> LMorphism:
     formula, numeral, or outside number), digit composition of numbers whose
     left factor has a 5, and sharp applied to such numbers or to numerals
     standing for them.  Everything else is a formal composite; composites
-    are flattened and adjacent defined compositions are retried greedily, so
+    are flattened and folded left to right, each result retried against its
+    left neighbour, so the leftmost defined composition always goes first and
     associativity and reassociations like (S(x) o #) o g = S(#g) hold.
     """
-    seq = list(_flatten(a) + _flatten(b))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            result = _compose_pair(seq[i], seq[i + 1])
-            if result is not None:
-                seq[i : i + 2] = [result]
-                changed = True
-                break
-    return seq[0] if len(seq) == 1 else FormalComposite(tuple(seq))
+    stack: list[LMorphism] = []
+    for part in _flatten(a) + _flatten(b):
+        while stack and (result := _compose_pair(stack[-1], part)) is not None:
+            stack.pop()
+            part = result
+        stack.append(part)
+    return stack[0] if len(stack) == 1 else FormalComposite(tuple(stack))
 
 
 # --- reference arrows from numbers to the formulas they code ---

@@ -123,7 +123,7 @@ def _check_post_map(F: CurriedMap, post: FinMap):
 def cantor_diagonal(F: CurriedMap, neg: FinMap) -> FinMap:
     """The map x -> neg(F(x)(x))."""
     _check_post_map(F, neg)
-    return FinMap(F.dom, F.cod_base, tuple(neg(F.row(x)(x)) for x in F.dom))
+    return FinMap(F.dom, F.cod_base, tuple(neg(row[i]) for i, row in enumerate(F.rows)))
 
 
 def find_representation(F: CurriedMap, C: FinMap):
@@ -154,8 +154,8 @@ def lawvere_fixed_point(F: CurriedMap, alpha: FinMap) -> tuple[str, str]:
     """A fixed point of alpha with its witness, whenever the diagonal is a row.
 
     Builds C(x) = alpha(F(x)(x)); if C = F(a) then F(a)(a) is fixed by alpha
-    and (value, a) is returned.  When no row represents C the map F cannot be
-    surjective onto [X, Z]; this is confirmed exhaustively before raising.
+    and (value, a) is returned.  Otherwise C itself is a map X -> Z that no
+    row equals, so F is not surjective onto [X, Z] and NotSurjective is raised.
     """
     C = cantor_diagonal(F, alpha)
     a = find_representation(F, C)
@@ -164,8 +164,6 @@ def lawvere_fixed_point(F: CurriedMap, alpha: FinMap) -> tuple[str, str]:
         if alpha(value) != value:
             raise AssertionError("represented diagonal failed to yield a fixed point")
         return value, a
-    if is_surjective(F):
-        raise AssertionError("surjective map left the diagonal unrepresented")
     raise NotSurjective(
         "the diagonal is not represented, so F is not surjective onto the map set"
     )

@@ -1,15 +1,19 @@
-"""Run-length text: the one format for printed words, formulas and counts.
+"""Run-length runs and text: the one format for words, formulas and code numbers.
 
-A run is a (name, count) pair, count >= 1; runs of RLE_MIN or more print
-as name^N, shorter ones as the name repeated.  Pieces sit side by side
-when every name is one non-digit character ("F#^6", "~P(#|^341752)") and
-are spaced tokens otherwise ("#Z a", "a^4 2"), so no digit follows a
-count.  Functions that reject input take the DomainError subclass to raise.
+A run is a (name, count) pair, count >= 1.  merge_runs alone fuses
+neighbouring runs and check_runs alone checks runs that must already be
+maximal: core.Word builds its runs with merge_runs, and godel's Formula
+and GodelNumber with both.  Runs of RLE_MIN or more print as name^N,
+shorter ones as the name repeated.  Pieces sit side by side when every
+name is one non-digit character ("F#^6", "~P(#|^341752)") and are spaced
+tokens otherwise ("#Z a", "a^4 2"), so no digit follows a count.
+Functions that reject input take the DomainError subclass to raise.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from decimal import Decimal
 
@@ -24,26 +28,33 @@ def runs_of(items) -> tuple:
     return tuple((key, len(list(group))) for key, group in itertools.groupby(items))
 
 
-def merge_runs(runs, error) -> tuple:
-    """Fuse adjacent runs with equal names; every count must be >= 1."""
+def merge_runs(runs, error, same=operator.eq) -> tuple[tuple, int]:
+    """Maximal runs, fusing neighbours whose names are same(), and their total length; counts >= 1."""
     out = []
+    length = 0
     for name, count in runs:
         if count < 1:
             raise error(f"run count must be >= 1, got {count}")
-        if out and out[-1][0] == name:
-            out[-1] = (name, out[-1][1] + count)
+        length += count
+        if out and same(out[-1][0], name):
+            out[-1] = (out[-1][0], out[-1][1] + count)
         else:
             out.append((name, count))
-    return tuple(out)
+    return tuple(out), length
 
 
-def check_runs(runs, error) -> None:
-    """Raise error unless every count is >= 1 and adjacent names differ."""
+def check_runs(runs, names, error) -> tuple:
+    """The runs as a tuple of pairs, already maximal: each name in names, each count >= 1."""
+    out = []
     previous = None
     for name, count in runs:
+        if name not in names:
+            raise error(f"{name!r} is outside the alphabet {' '.join(map(str, names))}")
         if count < 1 or name == previous:
             raise error(f"bad run {name!r}^{count}: counts must be >= 1, adjacent names differ")
+        out.append((name, count))
         previous = name
+    return tuple(out)
 
 
 def count_text(n: int) -> str:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -163,6 +164,16 @@ def test_lawvere_negation_not_surjective(capsys, tmp_path):
     table = _write_table(tmp_path, [["0", "1"], ["1", "0"]], ["0", "1"])
     code, payload, _ = invoke_json(capsys, "lawvere", "--table", table, "--alpha", "negation")
     assert code == 0
+    assert payload["result"]["not_surjective"] is True
+    assert payload["result"]["fixed_point"] is None
+
+
+def test_lawvere_negation_not_surjective_past_the_cap(capsys, tmp_path):
+    rng = random.Random(21)
+    rows = [[rng.choice("01") for _ in range(21)] for _ in range(21)]
+    table = _write_table(tmp_path, rows, ["0", "1"])
+    code, payload, _ = invoke_json(capsys, "lawvere", "--table", table, "--alpha", "negation")
+    assert (code, payload["status"]) == (0, "ok")
     assert payload["result"]["not_surjective"] is True
     assert payload["result"]["fixed_point"] is None
 
@@ -510,3 +521,11 @@ def test_alpha_must_assign_exactly_the_base_codomain(capsys, tmp_path, alpha, me
     assert assert_error(capsys, argv, "invalid-definition", 1) == message
     code, out, err = invoke(capsys, *argv)
     assert (code, out, err) == (1, "", f"error[invalid-definition]: {message}\n")
+
+
+def test_alpha_must_not_map_a_source_twice(capsys, tmp_path):
+    table = _write_table(tmp_path, [["0", "1"], ["1", "0"]], ["0", "1"])
+    argv = ["lawvere", "--table", table, "--alpha", "0:1,1:0,0:0"]
+    message = "alpha maps 0 more than once"
+    assert assert_error(capsys, argv, "invalid-definition", 1) == message
+    assert invoke(capsys, *argv) == (1, "", f"error[invalid-definition]: {message}\n")

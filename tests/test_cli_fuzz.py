@@ -18,7 +18,7 @@ from refshift.cli import COMMANDS, OUTPUT, run
 
 TEXT = ["0", "-1", "²", "5x0", "F#^8", "1_O -> 1_O", "R -> ~ #", "F -> F#", "#^3 -> #", "~R~R", "P[]",
         "(a", "g g", "(q c)", "q x = (x x)", "341 6x5 2", "34152", "identity", "negation", "0:1,1:0",
-        "0:1", "0:1,1:0,2:0", ""]
+        "0:1", "0:1,1:0,2:0", "0:1,1:0,0:0", ""]
 DEFINITIONS = ["g x = F (x x)", "q x = a ((b x) x)", "d x = (F x)", "bad", "q = x"]
 # bounds keep every example to milliseconds: counts and steps of at most 50
 INTS = st.integers(-2, 50).map(str) | st.sampled_from(["x", "²", "5x0"])

@@ -413,3 +413,33 @@ def test_reference_pair_is_closed_under_the_shift(f):
     pair = reference_pair([(encode(f), f)])
     shifted = pair.indicative_shift(pair.axioms[0])
     assert encode(shifted.dst.formula) == shifted.src.number
+
+
+def rescan_compose(a, b):
+    """The earlier compose_morphisms: compose the leftmost defined pair, then rescan from 0."""
+    seq = list(godel._flatten(a) + godel._flatten(b))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(seq) - 1):
+            result = godel._compose_pair(seq[i], seq[i + 1])
+            if result is not None:
+                seq[i : i + 2] = [result]
+                changed = True
+                break
+    return seq[0] if len(seq) == 1 else FormalComposite(tuple(seq))
+
+
+# small codes and formulas keep every composite's values to a few hundred digits
+morphism_atoms = st.sampled_from(
+    [SHARP] + [Num(gn(n)) for n in (3, 5, 12, 15, 25, 51, 152)]
+    + [Fml(parse(t)) for t in ("x", "P(x)", "~#x", "P", "|||||", "||")]
+)
+morphisms = st.lists(morphism_atoms, min_size=1, max_size=4).map(
+    lambda parts: parts[0] if len(parts) == 1 else FormalComposite(tuple(parts))
+)
+
+
+@given(morphisms, morphisms)
+def test_compose_fold_matches_the_leftmost_rescan(a, b):
+    assert compose_morphisms(a, b) == rescan_compose(a, b)

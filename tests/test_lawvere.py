@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from refshift.errors import EnumerationCapExceeded, InvalidDefinition, NotSurjective
 from refshift.lawvere import (
@@ -165,3 +166,25 @@ def test_surjectivity_cap():
     F = CurriedMap(big_x, big_z, rows)
     with pytest.raises(EnumerationCapExceeded):
         is_surjective(F)
+
+
+def _random_table(rng, n, z):
+    X = FinSet(tuple(f"x{i}" for i in range(n)))
+    return CurriedMap(X, z, tuple(tuple(rng.choice(z.elements) for _ in range(n)) for _ in range(n)))
+
+
+def test_cantor_verdict_past_the_surjectivity_cap():
+    # 2**21 candidate maps are past the cap, but the unrepresented diagonal is the witness
+    F = _random_table(random.Random(21), 21, BOOL)
+    with pytest.raises(EnumerationCapExceeded):
+        is_surjective(F)
+    with pytest.raises(NotSurjective):
+        lawvere_fixed_point(F, bool_negation())
+
+
+@given(st.integers(1, 40), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_cantor_diagonal_agrees_with_delta(n, zsize, rng):
+    Z = FinSet(tuple(str(i) for i in range(zsize)))
+    F = _random_table(rng, n, Z)
+    alpha = FinMap(Z, Z, tuple(rng.choice(Z.elements) for _ in range(zsize)))
+    assert cantor_diagonal(F, alpha) == diagonal_via_delta(F, alpha)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from refshift import core, reflexive, smullyan
 from refshift.core import Word
 from refshift.errors import InvalidDefinition
+from refshift.runs import check_runs, merge_runs
 
 # names that are a digit or longer than one character force the spaced form
 MIXED_NAMES = core.load_pair_text(
@@ -62,3 +63,20 @@ def test_machine_words_print_literally_and_equal_plain_words():
 def test_bad_counts_are_invalid_definitions(text):
     with pytest.raises(InvalidDefinition):
         CATEGORIES["next-simplest"].word(text)
+
+
+def test_merge_runs_fuses_neighbours_and_counts_their_length():
+    assert merge_runs([("a", 1), ("a", 2), ("b", 1), ("a", 3)], InvalidDefinition) == (
+        (("a", 3), ("b", 1), ("a", 3)), 7)
+    same_case = lambda x, y: x.lower() == y.lower()
+    assert merge_runs([("a", 1), ("A", 2)], InvalidDefinition, same_case) == ((("a", 3),), 3)
+    assert merge_runs([], InvalidDefinition) == ((), 0)
+    with pytest.raises(InvalidDefinition, match="run count must be >= 1, got 0"):
+        merge_runs([("a", 1), ("b", 0)], InvalidDefinition)
+
+
+def test_check_runs_returns_the_tuple_of_maximal_runs():
+    assert check_runs([["a", 2], ("b", 1)], "ab", InvalidDefinition) == (("a", 2), ("b", 1))
+    for bad in ([("c", 1)], [("a", 0)], [("a", 1), ("a", 1)]):
+        with pytest.raises(InvalidDefinition):
+            check_runs(bad, "ab", InvalidDefinition)
