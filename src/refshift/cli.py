@@ -234,17 +234,17 @@ def _self_refuter(args):
 
 def _lawvere(args):
     F = _load_table(args.table)
-    alpha = _parse_alpha(args.alpha, F.cod_base)
-    diagonal = lawvere.cantor_diagonal(F, alpha)
-    rep = lawvere.find_representation(F, diagonal)
-    try:
-        value, witness = lawvere.lawvere_fixed_point(F, alpha)
-        fixed, line = {"value": value, "witness": witness}, f"represented by {rep}; alpha fixes {value}"
-    except lawvere.NotSurjective:
-        fixed, line = None, "diagonal not represented: no surjection onto the map set"
-    result = {"diagonal": list(diagonal.table), "representation": rep, "fixed_point": fixed,
-              "not_surjective": fixed is None}
-    return result, [f"diagonal: {' '.join(diagonal.table)}", line]
+    report = lawvere.diagonal_report(F, _parse_alpha(args.alpha, F.cod_base))
+    diagonal = list(report.diagonal.table)
+    result = {"diagonal": diagonal, "representation": None, "fixed_point": None,
+              "not_surjective": not report.witnessed}
+    if report.witnessed:
+        value, witness = report.fixed_point
+        result.update(representation=witness, fixed_point={"value": value, "witness": witness})
+        line = f"represented by {witness}; alpha fixes {value}"
+    else:
+        line = "diagonal not represented: no surjection onto the map set"
+    return result, [f"diagonal: {' '.join(diagonal)}", line]
 
 
 def _threeval(args):

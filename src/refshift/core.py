@@ -210,14 +210,6 @@ class RewriteRule:
             if tok.startswith("?") and tok not in bound:
                 raise InvalidDefinition(f"replacement placeholder {tok} is not bound by the pattern")
 
-    def apply_at(self, gens: tuple[Generator, ...], pos: int, cat: "Category"):
-        """Return the rewritten generator tuple, or None if no match/progress."""
-        size = len(self.pattern)
-        if pos + size > len(gens):
-            return None
-        repl = self.rewrite(gens[pos : pos + size], cat)
-        return None if repl is None else gens[:pos] + repl + gens[pos + size :]
-
     def rewrite(self, segment, cat: "Category"):
         """The replacement tuple for a pattern-long segment, or None if no match/progress."""
         binding: dict[str, Generator] = {}
@@ -255,7 +247,7 @@ class Category:
     generators: tuple[Generator, ...]
     rules: tuple[RewriteRule, ...] = ()
     rewrite_budget: int = DEFAULT_REWRITE_BUDGET
-    # built in __post_init__: name -> generators of that name, object -> its sharp,
+    # built in __post_init__: name -> its generator, object -> its sharp,
     # name -> the rules whose pattern may start with it, and the rules starting with "?v"
     _by_name: dict = field(init=False, repr=False, compare=False)
     _sharps: dict = field(init=False, repr=False, compare=False)
@@ -266,21 +258,24 @@ class Category:
         object.__setattr__(self, "objects", frozenset(self.objects))
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "rules", tuple(self.rules))
-        by_name: dict[str, list[Generator]] = {}
+        by_name: dict[str, Generator] = {}
         sharps: dict[str, Generator] = {}
-        seen = set()
         for g in self.generators:
             if g.dom not in self.objects or g.cod not in self.objects:
                 raise InvalidDefinition(f"generator {g.name}: {g.dom} -> {g.cod} uses unknown objects")
-            key = (g.name, g.dom, g.cod, g.is_sharp)
-            if key in seen:
-                raise InvalidDefinition(f"duplicate generator {g.name}: {g.dom} -> {g.cod}")
-            seen.add(key)
-            by_name.setdefault(g.name, []).append(g)
+            if g.name in by_name:
+                raise InvalidDefinition(f"generator name {g.name!r} is used more than once")
+            by_name[g.name] = g
             if g.is_sharp:
                 if g.dom in sharps:
                     raise InvalidDefinition(f"object {g.dom} has more than one sharp generator")
                 sharps[g.dom] = g
+        for rule in self.rules:
+            # in a replacement "1" is the empty word; in a pattern it is a name like any other
+            literals = rule.pattern + tuple(t for t in rule.replacement if t != "1")
+            unknown = [t for t in literals if not t.startswith("?") and t not in by_name]
+            if unknown:
+                raise InvalidDefinition(f"rule {rule} names no generator {unknown[0]!r}")
         wild = tuple(rule for rule in self.rules if rule.pattern[0].startswith("?"))
         starts = {
             name: tuple(rule for rule in self.rules if rule.pattern[0] == name or rule in wild)
@@ -293,11 +288,9 @@ class Category:
 
     def generator(self, name: str) -> Generator:
         found = self._by_name.get(name)
-        if not found:
+        if found is None:
             raise InvalidDefinition(f"unknown generator {name!r}")
-        if len(found) > 1:
-            raise InvalidDefinition(f"generator name {name!r} is ambiguous in this category")
-        return found[0]
+        return found
 
     def has_generator(self, name: str) -> bool:
         return name in self._by_name
@@ -614,7 +607,8 @@ def category_from_digraph(
 
     One object per node, one sharp self-morphism per node, one generator per
     edge (name, dom, cod); multiple edges and loops are allowed but edge
-    names must be distinct.  The arrow set starts empty.
+    names must differ from each other and from the sharps' names ("#" for
+    one node, "#NODE" otherwise).  The arrow set starts empty.
     """
     node_list = list(nodes)
     if len(set(node_list)) != len(node_list):
@@ -623,13 +617,9 @@ def category_from_digraph(
     for node in node_list:
         sharp_name = "#" if len(node_list) == 1 else f"#{node}"
         gens.append(Generator(sharp_name, node, node, is_sharp=True))
-    seen_edges = set()
     for name, dom, cod in edges:
         if dom not in node_list or cod not in node_list:
             raise DanglingEdge(f"edge {name}: {dom} -> {cod} has an endpoint outside the node set")
-        if name in seen_edges:
-            raise InvalidDefinition(f"duplicate edge name {name!r}")
-        seen_edges.add(name)
         gens.append(Generator(name, dom, cod))
     cat = Category(frozenset(node_list), tuple(gens), tuple(rules))
     return CategoricalPair(cat)
@@ -719,15 +709,8 @@ def load_pair_text(text: str) -> CategoricalPair:
         except ValueError as exc:
             raise InvalidDefinition(f"line {lineno}: cannot parse {line!r}") from exc
 
-    names = [g.name for g in gens]
-    if len(set(names)) != len(names):
-        raise InvalidDefinition("generator names in a pair file must be unique")
     rules = tuple(RewriteRule(p, r) for p, r in rule_specs)
     cat = Category(frozenset(objects), tuple(gens), rules)
-    for rule in rules:
-        for tok in rule.pattern + rule.replacement:
-            if not tok.startswith("?") and tok != "1":
-                cat.generator(tok)  # raises on unknown names
     pair = CategoricalPair(cat, is_lambda_pair=lambda_flag, two_category=two_cat_flag)
     arrows = tuple(parse_arrow(pair, spec) for spec in arrow_specs)
     return replace(pair, arrows=arrows)

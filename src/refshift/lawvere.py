@@ -1,9 +1,13 @@
 """Diagonal arguments over explicit finite sets.
 
 A curried map F: X -> [X, Z] is a table of rows; the diagonal construction
-post-composes the trace x -> F(x)(x) with a map on Z.  With Z = {0,1} and
-negation the diagonal can never be a row (Cantor); if some row does equal
-the diagonal, the post-map has a fixed point (Lawvere); and over the
+post-composes the trace x -> F(x)(x) with a map alpha on Z.  ``diagonal_report``
+builds that diagonal once and scans the rows once for it; every verdict here
+is read off its report.  If some row F(a) equals the diagonal C, then
+F(a)(a) = C(a) = alpha(F(a)(a)) is a fixed point of alpha (Lawvere).  With
+Z = {0,1} and negation there is no fixed point, so the diagonal is a map
+X -> Z that no row equals, and F is not surjective onto [X, Z] (Cantor): the
+verdict needs no enumeration of the |Z|^|X| candidate maps.  Over the
 three-valued set {0,1,J} with ~J = J representable diagonals exist, but
 only with value J on the diagonal.
 """
@@ -13,9 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationCapExceeded, InvalidDefinition, NotSurjective
-
-SURJECTIVITY_CAP = 10**6
+from .errors import InvalidDefinition, NotSurjective
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,6 @@ class CurriedMap:
     def row(self, x: str) -> FinMap:
         return FinMap(self.dom, self.cod_base, self.rows[self.dom.index(x)])
 
-    def __call__(self, x: str) -> FinMap:
-        return self.row(x)
-
 
 BOOL = FinSet(("0", "1"))
 TRI = FinSet(("0", "1", "J"))
@@ -126,47 +125,63 @@ def cantor_diagonal(F: CurriedMap, neg: FinMap) -> FinMap:
     return FinMap(F.dom, F.cod_base, tuple(neg(row[i]) for i, row in enumerate(F.rows)))
 
 
+def _representations(F: CurriedMap, C: FinMap) -> tuple[str, ...]:
+    """The one row scan: every element whose row equals C, in domain order."""
+    return tuple(x for x, row in zip(F.dom, F.rows) if row == C.table)
+
+
 def find_representation(F: CurriedMap, C: FinMap):
     """The first element whose row equals C pointwise, or None."""
     if C.dom != F.dom or C.cod != F.cod_base:
         raise InvalidDefinition("candidate map must go from the domain to the base codomain")
-    for x, row in zip(F.dom, F.rows):
-        if row == C.table:
-            return x
-    return None
+    reps = _representations(F, C)
+    return reps[0] if reps else None
 
 
-def is_surjective(F: CurriedMap) -> bool:
-    """Exhaustive check that every map X -> Z appears as a row."""
-    total = len(F.cod_base) ** len(F.dom)
-    if total > SURJECTIVITY_CAP:
-        raise EnumerationCapExceeded(
-            f"{total} candidate maps exceed the cap of {SURJECTIVITY_CAP}"
-        )
-    rows = set(F.rows)
-    return all(
-        candidate in rows
-        for candidate in itertools.product(F.cod_base.elements, repeat=len(F.dom))
-    )
+@dataclass(frozen=True)
+class DiagonalReport:
+    """The diagonal C(x) = alpha(F(x)(x)) of a table and every element whose row is C."""
+
+    diagonal: FinMap
+    representations: tuple[str, ...]
+
+    @property
+    def witnessed(self) -> bool:
+        return bool(self.representations)
+
+    @property
+    def fixed_point(self) -> tuple[str, str] | None:
+        """(value, witness) at the first representation a, where value = F(a)(a) = C(a)."""
+        if not self.representations:
+            return None
+        a = self.representations[0]
+        return self.diagonal(a), a
+
+
+def diagonal_report(F: CurriedMap, alpha: FinMap) -> DiagonalReport:
+    """One diagonal and one row scan; alpha fixes F(a)(a) for each representation a."""
+    C = cantor_diagonal(F, alpha)
+    reps = _representations(F, C)
+    for a in reps:
+        value = F.row(a)(a)
+        if alpha(value) != value:
+            raise AssertionError("represented diagonal failed to yield a fixed point")
+    return DiagonalReport(C, reps)
 
 
 def lawvere_fixed_point(F: CurriedMap, alpha: FinMap) -> tuple[str, str]:
     """A fixed point of alpha with its witness, whenever the diagonal is a row.
 
-    Builds C(x) = alpha(F(x)(x)); if C = F(a) then F(a)(a) is fixed by alpha
-    and (value, a) is returned.  Otherwise C itself is a map X -> Z that no
-    row equals, so F is not surjective onto [X, Z] and NotSurjective is raised.
+    If the diagonal C = F(a), then F(a)(a) is fixed by alpha and (value, a)
+    is returned.  Otherwise C itself is a map X -> Z that no row equals, so
+    F is not surjective onto [X, Z] and NotSurjective is raised.
     """
-    C = cantor_diagonal(F, alpha)
-    a = find_representation(F, C)
-    if a is not None:
-        value = F.row(a)(a)
-        if alpha(value) != value:
-            raise AssertionError("represented diagonal failed to yield a fixed point")
-        return value, a
-    raise NotSurjective(
-        "the diagonal is not represented, so F is not surjective onto the map set"
-    )
+    fixed = diagonal_report(F, alpha).fixed_point
+    if fixed is None:
+        raise NotSurjective(
+            "the diagonal is not represented, so F is not surjective onto the map set"
+        )
+    return fixed
 
 
 def diagonal_via_delta(F: CurriedMap, alpha: FinMap) -> FinMap:
@@ -181,19 +196,7 @@ def diagonal_via_delta(F: CurriedMap, alpha: FinMap) -> FinMap:
     return FinMap(F.dom, F.cod_base, tuple(values))
 
 
-@dataclass(frozen=True)
-class ThreeValuedReport:
-    """Outcome of the diagonal over {0,1,J}: every representation sits at J."""
-
-    diagonal: FinMap
-    representations: tuple[str, ...]
-
-    @property
-    def witnessed(self) -> bool:
-        return bool(self.representations)
-
-
-def three_valued_diagonal_analysis(F: CurriedMap) -> ThreeValuedReport:
+def three_valued_diagonal_analysis(F: CurriedMap) -> DiagonalReport:
     """Diagonalize with Lukasiewicz negation and collect every representing row.
 
     Representation is possible here (unlike the two-valued case), but each
@@ -202,12 +205,11 @@ def three_valued_diagonal_analysis(F: CurriedMap) -> ThreeValuedReport:
     """
     if F.cod_base != TRI:
         raise InvalidDefinition("three-valued analysis needs the base codomain {0, 1, J}")
-    C = cantor_diagonal(F, tri_negation())
-    reps = tuple(x for x, row in zip(F.dom, F.rows) if row == C.table)
-    for z in reps:
+    report = diagonal_report(F, tri_negation())
+    for z in report.representations:
         if F.row(z)(z) != "J":
             raise AssertionError("a represented diagonal left a non-J value on the diagonal")
-    return ThreeValuedReport(C, reps)
+    return report
 
 
 def all_curried_maps(dom: FinSet, cod_base: FinSet):

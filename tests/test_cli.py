@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from refshift import lawvere
 from refshift.cli import COMMANDS, run
 
 
@@ -183,6 +188,53 @@ def test_lawvere_identity_fixed_point(capsys, tmp_path):
     code, payload, _ = invoke_json(capsys, "lawvere", "--table", table, "--alpha", "identity")
     assert code == 0
     assert payload["result"]["fixed_point"] == {"value": "0", "witness": "x0"}
+
+
+@pytest.mark.parametrize("alpha", ["identity", "negation"])
+def test_lawvere_builds_one_diagonal_and_scans_the_rows_once(capsys, tmp_path, monkeypatch, alpha):
+    calls = {"cantor_diagonal": 0, "_representations": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(lawvere, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(lawvere, name, counted)
+    table = _write_table(tmp_path, [["0", "0"], ["0", "0"]], ["0", "1"])
+    code, payload, _ = invoke_json(capsys, "lawvere", "--table", table, "--alpha", alpha)
+    assert (code, payload["result"]["not_surjective"]) == (0, alpha == "negation")
+    assert calls == {"cantor_diagonal": 1, "_representations": 1}
+
+
+@st.composite
+def lawvere_tables(draw):
+    """Rows of 1-6 elements over Z = {0, .., k-1} with k in 1-3, and an alpha spec in random order."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    z = [str(i) for i in range(k)]
+    rows = draw(st.lists(st.lists(st.sampled_from(z), min_size=n, max_size=n), min_size=n, max_size=n))
+    pairs = draw(st.permutations([(src, draw(st.sampled_from(z))) for src in z]))
+    return rows, z, ",".join(f"{src}:{dst}" for src, dst in pairs)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("lawvere-tables")
+
+
+@settings(max_examples=60, deadline=None)
+@given(lawvere_tables())
+def test_lawvere_report_is_coherent(table_dir, case):
+    rows, z, spec = case
+    table = _write_table(table_dir, rows, z)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["lawvere", "--table", table, "--alpha", spec, "--json"]) == 0
+    result = json.loads(out.getvalue())["result"]
+    F = lawvere.CurriedMap(lawvere.FinSet(tuple(f"x{i}" for i in range(len(rows)))),
+                           lawvere.FinSet(tuple(z)), rows)
+    alpha = lawvere.FinMap.from_dict(F.cod_base, F.cod_base, dict(p.split(":") for p in spec.split(",")))
+    assert result["diagonal"] == list(lawvere.diagonal_via_delta(F, alpha).table)
+    if result["diagonal"] in rows:
+        assert result["representation"] == result["fixed_point"]["witness"]
+    assert result["not_surjective"] == (result["representation"] is None)
 
 
 def test_threeval(capsys, tmp_path):

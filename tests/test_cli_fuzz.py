@@ -35,6 +35,8 @@ def files(tmp_path_factory):
         "shape.json": '{"rows": 3}',
         "bad.json": '{"elements": [',
         "arcs.txt": "A: B -> C\nB: C -> A\nC: A -> B\n",
+        # three loops branch threefold, so a large --max-len ends at the enumeration cap
+        "loops.txt": "A: A -> A\nB: A -> A\nC: A -> A\n",
         "pair.cat": "object O\nsharp # : O\ngenerator R : O -> O\ngenerator ~ : O -> O\n",
         "loop.cat": "object O\nsharp # : O\ngenerator u : O -> O\ngenerator v : O -> O\n"
                     "rule u v => v u\nrule v u => u v\n",

@@ -457,6 +457,15 @@ def test_rewrite_placeholder_must_bind():
         RewriteRule(("u",), ("?x",))
 
 
+def apply_at(rule, gens, pos, cat):
+    """The generator tuple with rule rewritten at pos, or None if no match/progress there."""
+    size = len(rule.pattern)
+    if pos + size > len(gens):
+        return None
+    repl = rule.rewrite(gens[pos : pos + size], cat)
+    return None if repl is None else gens[:pos] + repl + gens[pos + size :]
+
+
 def test_rewrite_confluence_under_random_application_order():
     # the sharp-expansion relation reaches the same normal form no matter
     # where rewrites fire, so leftmost normalization is a canonical choice
@@ -471,11 +480,11 @@ def test_rewrite_confluence_under_random_application_order():
         gens = word.gens
         for _ in range(10_000):
             matches = [
-                p for p in range(len(gens)) if rule.apply_at(gens, p, cat) is not None
+                p for p in range(len(gens)) if apply_at(rule, gens, p, cat) is not None
             ]
             if not matches:
                 return Word(gens, word.dom, word.cod)
-            gens = rule.apply_at(gens, rng.choice(matches), cat)
+            gens = apply_at(rule, gens, rng.choice(matches), cat)
         raise AssertionError("random-order rewriting failed to terminate")
 
     names = ["#", "g", "F"]
@@ -523,6 +532,19 @@ def test_load_pair_rejects_duplicate_names():
     text = "object O\ngenerator u : O -> O\nsharp u : O\n"
     with pytest.raises(InvalidDefinition):
         load_pair_text(text)
+
+
+def test_category_refuses_a_generator_name_used_twice():
+    # the edge #a has the name of a's sharp; word("#a") could not say which it means
+    with pytest.raises(InvalidDefinition, match="used more than once"):
+        category_from_digraph(["a", "b"], [("#a", "b", "b")])
+
+
+@pytest.mark.parametrize("pattern, replacement", [(("u",), ("w",)), (("w", "u"), ()), (("u", "1"), ())])
+def test_category_refuses_a_rule_token_that_names_no_generator(pattern, replacement):
+    # a replacement would fail mid-normalize; a pattern would silently never match
+    with pytest.raises(InvalidDefinition, match="names no generator"):
+        category_from_digraph(["O"], [("u", "O", "O")], rules=(RewriteRule(pattern, replacement),))
 
 
 def test_parse_arrow_requires_arrow_syntax():
@@ -712,7 +734,7 @@ def restart_normalize(cat, word):
     gens, steps = word.gens, 0
     while True:
         for pos in range(len(gens)):
-            found = next((r for r in (rule.apply_at(gens, pos, cat) for rule in cat.rules)
+            found = next((r for r in (apply_at(rule, gens, pos, cat) for rule in cat.rules)
                           if r is not None), None)
             if found is not None:
                 break
