@@ -11,6 +11,7 @@ or ``usage``); with --json every outcome is one envelope.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -66,14 +67,15 @@ def _load_model(path) -> smullyan.MachineModel:
 def _load_table(path) -> lawvere.CurriedMap:
     try:
         data = json.loads(_read(path))
-        dom = lawvere.FinSet(tuple(data["elements"]))
-        cod = lawvere.FinSet(tuple(data["z_elements"]))
+        dom, cod = tuple(data["elements"]), tuple(data["z_elements"])
         rows = tuple(tuple(row) for row in data["rows"])
+        if not all(type(v) is str for v in itertools.chain(dom, cod, *rows)):
+            raise InvalidDefinition("table elements, z_elements and row values must be strings")
+        return lawvere.CurriedMap(lawvere.FinSet(dom), lawvere.FinSet(cod), rows)
     except json.JSONDecodeError as exc:
         raise InvalidDefinition(f"table file is not JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise InvalidDefinition("table file needs elements, z_elements, rows") from exc
-    return lawvere.CurriedMap(dom, cod, rows)
 
 
 def _parse_alpha(spec: str, z: lawvere.FinSet) -> lawvere.FinMap:

@@ -44,6 +44,28 @@ class Apply:
     def __str__(self):
         return "".join([x if type(x) is str else x.name for x in _tokens(self)])
 
+    def __repr__(self):
+        return f"Apply{self}"
+
+    def __eq__(self, other):
+        """Structural equality without recursion; shared subterms compare by identity."""
+        if type(other) is not Apply:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is Apply and type(b) is Apply:
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        # computed when asked, not at construction, so building terms stays cheap
+        return hash(tuple(_tokens(self)))
+
 
 Term = Union[Atom, FreeVar, Apply]
 

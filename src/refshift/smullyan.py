@@ -62,20 +62,26 @@ class MachineModel:
         object.__setattr__(self, "printable", frozenset(self.printable))
 
 
+_KINDS = frozenset({"P", "~P", "R", "~R"})
+
+
+def _split(s: str) -> tuple[str, str] | None:
+    """(kind, body) for the kind that prefixes s, ~ forms first; else None."""
+    kind = s[:2] if s[:1] == "~" else s[:1]
+    return (kind, s[len(kind):]) if kind in _KINDS else None
+
+
+def _assertion(kind: str, body: str) -> tuple[str, bool]:
+    return (body if kind[-1] == "P" else body + body), kind[0] != "~"
+
+
 def classify(s: str) -> Classification | None:
     """Longest-prefix classification; None when the string is not interpretable.
 
     ~P and ~R take precedence over bare ~, so "~~R" is not interpretable.
     """
-    if s.startswith("~P"):
-        return Classification("~P", s[2:])
-    if s.startswith("~R"):
-        return Classification("~R", s[2:])
-    if s.startswith("P"):
-        return Classification("P", s[1:])
-    if s.startswith("R"):
-        return Classification("R", s[1:])
-    return None
+    split = _split(s)
+    return None if split is None else Classification(*split)
 
 
 def assertion_of(c: Classification) -> tuple[str, bool]:
@@ -84,8 +90,7 @@ def assertion_of(c: Classification) -> tuple[str, bool]:
     Returns (subject, asserted_printable): P/~P talk about X itself, R/~R
     about the doubling XX; the ~ forms assert unprintability.
     """
-    subject = c.body if c.kind in ("P", "~P") else c.body + c.body
-    return subject, not c.kind.startswith("~")
+    return _assertion(c.kind, c.body)
 
 
 def reference_arrow(s: str) -> RefArrow | None:
@@ -107,23 +112,55 @@ def semantics(s: str, m: MachineModel) -> bool | None:
     return (subject in m.printable) == positive
 
 
+def _sweep(printable: frozenset[str]) -> tuple[list[str], dict[str, list[str]]]:
+    """Classify every printed string once against `printable`.
+
+    Returns the printed falsehoods, and the printed true positive claims
+    (P.../R...) indexed by their subject: the claims that become false if
+    that subject is no longer printed.
+    """
+    false: list[str] = []
+    claims: dict[str, list[str]] = {}
+    for s in printable:
+        split = _split(s)  # classify without building a Classification per string
+        if split is None:
+            continue
+        subject, positive = _assertion(*split)
+        if (subject in printable) != positive:
+            false.append(s)
+        elif positive:
+            claims.setdefault(subject, []).append(s)
+    return false, claims
+
+
 def truthfulness_violations(m: MachineModel) -> frozenset[str]:
     """Printed interpretable strings that are false under the model itself."""
-    return frozenset(s for s in m.printable if semantics(s, m) is False)
+    return frozenset(_sweep(m.printable)[0])
 
 
 def make_truthful(m: MachineModel) -> MachineModel:
     """Shrink a model to a truthful one by discarding printed falsehoods.
 
-    Removal can falsify further printed claims, so iterate to a fixed point;
-    the printable set only shrinks, so this terminates.
+    Discarding every printed falsehood at once, and repeating until none is
+    left, is the defining process; one sweep and one propagation give the
+    same fixed point.  A claim's truth changes only when its subject leaves
+    the printed set, and the set only shrinks.  A negative claim false at
+    the start is discarded in the first round, even if its subject goes in
+    that same round (so {P], ~PP]} becomes {}); a negative claim whose
+    subject is gone is true and stays true.  After the first round, then,
+    only positive claims go, each once its subject has gone.  So the sweep
+    collects the first round's falsehoods and indexes the true positive
+    claims by subject, and a worklist discards the claims about each
+    discarded string, transitively: O(total string length), however many
+    rounds the defining process takes.
     """
+    todo, claims = _sweep(m.printable)
     printable = set(m.printable)
-    while True:
-        bad = truthfulness_violations(MachineModel(frozenset(printable)))
-        if not bad:
-            return MachineModel(frozenset(printable))
-        printable -= bad
+    while todo:
+        s = todo.pop()
+        printable.remove(s)
+        todo += claims.pop(s, ())
+    return MachineModel(frozenset(printable))
 
 
 SELF_REFUTER = "~R~R"

@@ -475,6 +475,17 @@ def test_unreadable_files_are_invalid_definitions(capsys, tmp_path):
         assert assert_error(capsys, argv, "invalid-definition", 1).startswith("table file is not JSON")
 
 
+@pytest.mark.parametrize("command", ["lawvere", "threeval"])
+def test_non_string_table_labels_are_invalid_definitions(capsys, tmp_path, command):
+    path = tmp_path / "table.json"
+    for table in ({"elements": ["a"], "z_elements": ["0"], "rows": [[["x"]]]},
+                  {"elements": [["a"]], "z_elements": ["0"], "rows": [["0"]]},
+                  {"elements": ["a"], "z_elements": [0], "rows": [[0]]}):
+        path.write_text(json.dumps(table))
+        message = assert_error(capsys, [command, "--table", str(path)], "invalid-definition", 1)
+        assert message == "table elements, z_elements and row values must be strings"
+
+
 def test_reflexive_without_source_stays_typed(capsys):
     message = assert_error(capsys, ["reflexive", "check"], "invalid-definition", 1)
     assert message == "reflexive needs --builtin or --table"

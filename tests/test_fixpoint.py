@@ -218,6 +218,9 @@ def test_deep_term_round_trips():
         text = f"({text} b)" if rng.random() < 0.5 else f"(c {text})"
     t = parse_term(text)
     assert str(t) == text
+    same = parse_term(text)  # shares no node with t
+    assert t == same and hash(t) == hash(same) and repr(t) == f"Apply{text}"
+    assert t != parse_term(text.replace("a", "d"))
     assert fixpoint.atom_names(t) == {"a", "b", "c"}
     assert not fixpoint.contains_var(t, "x")
 

@@ -131,6 +131,17 @@ def test_model_of_rr_alone_is_truthful():
     assert truthfulness_violations(model_of("RR")) == frozenset()
 
 
+def rounds_oracle(printable: frozenset[str]) -> frozenset[str]:
+    """make_truthful's defining process: drop every printed falsehood at once, until none is left."""
+    printable = set(printable)
+    while True:
+        model = model_of(*printable)
+        bad = {s for s in printable if semantics(s, model) is False}
+        if not bad:
+            return frozenset(printable)
+        printable -= bad
+
+
 def test_make_truthful_reaches_fixed_point():
     rng = random.Random(7)
     universe = ["".join(p) for k in range(5) for p in itertools.product(smullyan.ALPHABET, repeat=k)]
@@ -138,7 +149,36 @@ def test_make_truthful_reaches_fixed_point():
         sample = rng.sample(universe, rng.randrange(0, 30))
         truthful = make_truthful(MachineModel(frozenset(sample)))
         assert truthfulness_violations(truthful) == frozenset()
-        assert truthful.printable <= frozenset(sample)
+        assert truthful.printable == rounds_oracle(frozenset(sample))
+
+
+@st.composite
+def talking_universes(draw):
+    """Machine strings, each either free or a claim about (a prefix or half of) an earlier one."""
+    strings: list[str] = []
+    for _ in range(draw(st.integers(0, 16))):
+        if strings and draw(st.booleans()):
+            x = draw(st.sampled_from(strings))
+            body = draw(st.sampled_from([x, x[: len(x) // 2], x[: draw(st.integers(0, len(x)))]]))
+            strings.append(draw(st.sampled_from(["P", "~P", "R", "~R"])) + body)
+        else:
+            strings.append(draw(machine_strings))
+    return frozenset(strings)
+
+
+def chain(links: int) -> frozenset[str]:
+    """P], PP], PPP], ...: each claims the previous is printed, and ] is not."""
+    return frozenset("P" * k + "]" for k in range(1, links + 1))
+
+
+@given(talking_universes(), st.none())
+@example(frozenset({"P]", "~PP]"}), frozenset())  # both false at the start, so both go at once
+@example(frozenset({"P]", "~PP]", "]"}), frozenset({"P]", "]"}))
+@example(chain(2000), frozenset())  # 2000 rounds of the oracle: the expected set is pinned instead
+def test_make_truthful_matches_rounds_oracle(printable, expected):
+    if expected is None:
+        expected = rounds_oracle(printable)
+    assert make_truthful(MachineModel(printable)).printable == expected
 
 
 # --- arrow/semantics coherence ---
