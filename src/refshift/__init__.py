@@ -12,34 +12,13 @@ Subpackages:
 - reflexive: categories from knot and link arc tables;
 - runs: the run-length text shared by printed words and formulas;
 - cli: the command-line front door.
+
+Importing the package loads no engine: each name in ``__all__`` is read
+from its module on first use (PEP 562), so ``refshift.Word`` loads core
+and ``from refshift import lawvere`` loads lawvere alone.
 """
 
-from .core import (
-    BUILTIN_PAIRS,
-    CategoricalPair,
-    Category,
-    Derivation,
-    DerivationStep,
-    Generator,
-    RefArrow,
-    RewriteRule,
-    ShiftSequence,
-    Word,
-    category_from_digraph,
-    check_interchange,
-    compose,
-    horizontal_compose,
-    indicative_shift,
-    is_composable_reference,
-    iterate_shift,
-    load_pair_text,
-    parse_arrow,
-    shift,
-    shift_step,
-    srt1,
-    vertical_compose,
-)
-from .errors import DomainError
+import importlib
 
 __all__ = [
     "BUILTIN_PAIRS",
@@ -67,3 +46,14 @@ __all__ = [
     "srt1",
     "vertical_compose",
 ]
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(".errors" if name == "DomainError" else ".core", __name__)
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,7 +1,9 @@
 """Command-line front door: text by default, JSON envelopes with --json.
 
-Every subcommand is one row of ``COMMANDS``: its help, its argument specs and
-a handler that returns ``(result dict, text lines[, derivation])``.
+Every subcommand is one row of ``COMMANDS``: its engine module, help, argument
+specs and a handler that takes the engine and the parsed arguments and returns
+``(result dict, text lines[, derivation])``.  Only ``run`` imports an engine, the
+row's, when it dispatches that row, so a command loads no other engine.
 
 Exit codes: 0 on success, 1 on a domain error or an unreadable file, 2 on a
 usage error. Each failure has a machine code (a ``DomainError`` code, ``io``
@@ -11,15 +13,17 @@ or ``usage``); with --json every outcome is one envelope.
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import json
 import sys
 from dataclasses import replace
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import core, fixpoint, godel, lawvere, reflexive, smullyan
 from .errors import DomainError, InvalidDefinition, InvalidSymbol
-from .runs import count_text
+
+if TYPE_CHECKING:
+    from . import core, fixpoint, godel, lawvere, reflexive, smullyan
 
 
 class UsageError(DomainError):
@@ -46,7 +50,7 @@ def _read(path: str) -> str:
             raise InvalidDefinition(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _pair(args) -> core.CategoricalPair:
+def _pair(core, args) -> core.CategoricalPair:
     pair = core.load_pair_text(_read(args.category)) if args.category else core.BUILTIN_PAIRS[args.base]()
     if args.lambda_pair:
         pair = replace(pair, is_lambda_pair=True)
@@ -55,7 +59,7 @@ def _pair(args) -> core.CategoricalPair:
     return pair
 
 
-def _load_model(path) -> smullyan.MachineModel:
+def _load_model(smullyan, path) -> smullyan.MachineModel:
     strings = [s for s in _read(path).split("\n") if s]
     for s in strings:
         for ch in s:
@@ -64,7 +68,7 @@ def _load_model(path) -> smullyan.MachineModel:
     return smullyan.MachineModel(frozenset(strings))
 
 
-def _load_table(path) -> lawvere.CurriedMap:
+def _load_table(lawvere, path) -> lawvere.CurriedMap:
     try:
         data = json.loads(_read(path))
         dom, cod = tuple(data["elements"]), tuple(data["z_elements"])
@@ -78,7 +82,7 @@ def _load_table(path) -> lawvere.CurriedMap:
         raise InvalidDefinition("table file needs elements, z_elements, rows") from exc
 
 
-def _parse_alpha(spec: str, z: lawvere.FinSet) -> lawvere.FinMap:
+def _parse_alpha(lawvere, spec: str, z: lawvere.FinSet) -> lawvere.FinMap:
     if spec == "identity":
         return lawvere.identity_map(z)
     if spec == "negation":
@@ -99,7 +103,7 @@ def _parse_alpha(spec: str, z: lawvere.FinSet) -> lawvere.FinMap:
     return lawvere.FinMap.from_dict(z, z, mapping)
 
 
-def _parse_definition(spec: str) -> tuple[str, str, fixpoint.Term]:
+def _parse_definition(fixpoint, spec: str) -> tuple[str, str, fixpoint.Term]:
     head, _, body = spec.partition("=")
     if not body:
         raise InvalidDefinition(f"definition {spec!r} needs the form 'name var = body'")
@@ -110,19 +114,16 @@ def _parse_definition(spec: str) -> tuple[str, str, fixpoint.Term]:
     return name, var, fixpoint.parse_term(body.strip(), var=var)
 
 
-def _rewriter(args) -> fixpoint.Rewriter:
+def _rewriter(fixpoint, args) -> fixpoint.Rewriter:
     rewriter = fixpoint.Rewriter(fuel=args.fuel)
     for spec in args.define or []:
-        rewriter.define(*_parse_definition(spec))
+        rewriter.define(*_parse_definition(fixpoint, spec))
     return rewriter
 
 
-DIAGRAMS = {"trefoil": reflexive.TREFOIL, "link": reflexive.LINK}
-
-
-def _diagram(args) -> reflexive.DiagramCategory:
+def _diagram(reflexive, args) -> reflexive.DiagramCategory:
     if args.builtin:
-        table = DIAGRAMS[args.builtin]
+        table = reflexive.BUILTIN_TABLES[args.builtin]
     elif args.table:
         table = reflexive.parse_arc_table(_read(args.table))
     else:
@@ -130,13 +131,14 @@ def _diagram(args) -> reflexive.DiagramCategory:
     return reflexive.build(table)
 
 
-def _wire(*tokens: str) -> godel.GodelNumber:
+def _wire(godel, *tokens: str) -> godel.GodelNumber:
     return godel.GodelNumber.from_wire(" ".join(tokens))
 
 
 def _count(n: int):
     """A count for an envelope: the int below the interpreter's int/str digit limit,
     which json.dumps cannot print past, and its decimal text from there on."""
+    from .runs import count_text  # loaded already by godel, the only engine with counts
     try:
         str(n)
     except ValueError:
@@ -151,8 +153,14 @@ def _number(number: godel.GodelNumber, materialize: bool = False):
     return result, [result["digits"] if materialize else result["number"]]
 
 
-def _shift(args):
-    pair = _pair(args)
+def _at_least(args, name: str, low: int):
+    """Refuse an integer option below low as a usage error, worded as argparse words one."""
+    if getattr(args, name) < low:
+        args.usage_error(f"argument --{name}: must be at least {low}, got {getattr(args, name)}")
+
+
+def _shift(core, args):
+    pair = _pair(core, args)
     arrow = core.parse_arrow(pair, args.arrow)
     shifted, rule = core.shift_step(pair, arrow)
     trace = core.shift_derivation(arrow, shifted, rule)
@@ -160,18 +168,17 @@ def _shift(args):
     return result, [str(shifted)], trace
 
 
-def _srt1(args):
-    pair = _pair(args)
+def _srt1(core, args):
+    pair = _pair(core, args)
     derivation = core.srt1(pair, core.parse_arrow(pair, args.arrow))
     steps = derivation.to_json()["steps"]
     lines = [f"{i}. [{s['rule']}] {s['src_word']} -> {s['dst_word']}" for i, s in enumerate(steps, 1)]
     return {"final": str(derivation.final), "steps": steps}, lines, derivation
 
 
-def _iterate(args):
-    if args.n < 1:
-        args.usage_error(f"argument --n: must be at least 1, got {args.n}")
-    pair = _pair(args)
+def _iterate(core, args):
+    _at_least(args, "n", 1)
+    pair = _pair(core, args)
     if args.arrow:
         arrow = core.parse_arrow(pair, args.arrow)
     elif len(pair.base.objects) == 1:
@@ -185,47 +192,47 @@ def _iterate(args):
     return {"arrows": arrows, "rules": list(seq.rules), "stop_reason": seq.stop_reason}, arrows + stop
 
 
-def _report(args):
+def _report(smullyan, args):
     derivation = smullyan.goedel_miniature_report()
     notes = [s.note for s in derivation.steps]
     lines = [f"{i}. {note}" for i, note in enumerate(notes, 1)]
     return {"steps": notes, "final_claim": notes[-1]}, lines, derivation
 
 
-def _classify(args):
+def _classify(smullyan, args):
     s, c = args.string, smullyan.classify(args.string)
     result = {"string": s, "interpretable": c is not None, "kind": c and c.kind, "body": c and c.body}
     return result, [f"{s}: {c.kind} with remainder {c.body!r}" if c else f"{s}: not interpretable"]
 
 
-def _arrow(args):
+def _arrow(smullyan, args):
     arrow = smullyan.reference_arrow(args.string)
     text = str(arrow) if arrow else None
     return {"arrow": text}, [text or "no arrow (not interpretable)"]
 
 
-def _semantics(args):
+def _semantics(smullyan, args):
     if not args.model:
         raise InvalidDefinition("smullyan semantics needs --model FILE")
-    value = smullyan.semantics(args.string, _load_model(args.model))
+    value = smullyan.semantics(args.string, _load_model(smullyan, args.model))
     text = {True: "true", False: "false", None: "no-meaning"}[value]
     return {"string": args.string, "value": value}, [text]
 
 
-def _violations(args):
-    bad = sorted(smullyan.truthfulness_violations(_load_model(args.model)))
+def _violations(smullyan, args):
+    bad = sorted(smullyan.truthfulness_violations(_load_model(smullyan, args.model)))
     return {"violations": bad, "truthful": not bad}, bad or ["no violations: the model is truthful"]
 
 
-def _godel_decode(args):
-    formula = godel.decode(_wire(*args.number))
+def _godel_decode(godel, args):
+    formula = godel.decode(_wire(godel, *args.number))
     result = {"formula": str(formula), "length": _count(formula.length)}
     if args.materialize:
         result["text"] = formula.text()
     return result, [result["text"] if args.materialize else result["formula"]]
 
 
-def _self_refuter(args):
+def _self_refuter(godel, args):
     number, formula = godel.build_self_refuter()
     result, _ = _number(number)
     result.update(formula=str(formula), verified=True)
@@ -234,9 +241,9 @@ def _self_refuter(args):
     return result, lines
 
 
-def _lawvere(args):
-    F = _load_table(args.table)
-    report = lawvere.diagonal_report(F, _parse_alpha(args.alpha, F.cod_base))
+def _lawvere(lawvere, args):
+    F = _load_table(lawvere, args.table)
+    report = lawvere.diagonal_report(F, _parse_alpha(lawvere, args.alpha, F.cod_base))
     diagonal = list(report.diagonal.table)
     result = {"diagonal": diagonal, "representation": None, "fixed_point": None,
               "not_surjective": not report.witnessed}
@@ -249,8 +256,8 @@ def _lawvere(args):
     return result, [f"diagonal: {' '.join(diagonal)}", line]
 
 
-def _threeval(args):
-    report = lawvere.three_valued_diagonal_analysis(_load_table(args.table))
+def _threeval(lawvere, args):
+    report = lawvere.three_valued_diagonal_analysis(_load_table(lawvere, args.table))
     reps = list(report.representations)
     result = {"diagonal": list(report.diagonal.table), "representations": reps,
               "witnessed": report.witnessed}
@@ -259,15 +266,16 @@ def _threeval(args):
     return result, [f"diagonal: {' '.join(report.diagonal.table)}", line]
 
 
-def _define(args):
-    rewriter = _rewriter(args)
-    name, var, body = _parse_definition(args.term)
+def _define(fixpoint, args):
+    rewriter = _rewriter(fixpoint, args)
+    name, var, body = _parse_definition(fixpoint, args.term)
     rewriter.define(name, var, body)
     return {"name": name, "var": var, "body": str(body)}, [f"{name} {var} = {body}"]
 
 
-def _fixpoint(args):
-    rewriter = _rewriter(args)
+def _fixpoint(fixpoint, args):
+    _at_least(args, "steps", 0)
+    rewriter = _rewriter(fixpoint, args)
     rewriter.check_steps(args.steps)  # each stage below is one step of the same budget
     current = fixpoint.fixed_point(fixpoint.parse_term(args.term), rewriter)
     d = rewriter.defs[current.left.name]
@@ -283,27 +291,28 @@ def _fixpoint(args):
     return {"definition": definition, "fixpoint": stages[0], "stages": stages}, lines
 
 
-def _reduce(args):
-    outcome = fixpoint.reduce(fixpoint.parse_term(args.term), _rewriter(args), args.steps)
+def _reduce(fixpoint, args):
+    _at_least(args, "steps", 0)
+    outcome = fixpoint.reduce(fixpoint.parse_term(args.term), _rewriter(fixpoint, args), args.steps)
     term = str(outcome.term)
     return {"term": term, "steps_used": outcome.steps_used, "exhausted": outcome.exhausted}, [term]
 
 
-def _build(args):
-    diagram = _diagram(args)
+def _build(reflexive, args):
+    diagram = _diagram(reflexive, args)
     gens = [{"name": g.name, "dom": g.dom, "cod": g.cod} for g in diagram.category.generators]
     ok = reflexive.is_reflexive(diagram)
     lines = [f"{g['name']}: {g['dom']} -> {g['cod']}" for g in gens] + [f"reflexive: {ok}"]
     return {"objects": sorted(diagram.category.objects), "generators": gens, "reflexive": ok}, lines
 
 
-def _check(args):
-    ok = reflexive.is_reflexive(_diagram(args))
+def _check(reflexive, args):
+    ok = reflexive.is_reflexive(_diagram(reflexive, args))
     return {"reflexive": ok}, [f"reflexive: {ok}"]
 
 
-def _enumerate(args):
-    words = reflexive.enumerate_composites(_diagram(args), args.max_len)
+def _enumerate(reflexive, args):
+    words = reflexive.enumerate_composites(_diagram(reflexive, args), args.max_len)
     shown = [str(w) for w in sorted(words, key=lambda w: (len(w), str(w)))]
     return {"count": len(shown), "words": shown}, shown
 
@@ -314,17 +323,20 @@ def arg(name: str, **kwargs):
 
 
 class Command(NamedTuple):
+    engine: str  # the module under refshift that run() imports and passes to the handler
     help: str
     args: tuple
     run: Callable
 
 
+BASES = ("next-simplest", "russell", "simplest")  # sorted(core.BUILTIN_PAIRS)
+DIAGRAMS = ("trefoil", "link")  # reflexive.BUILTIN_TABLES
 OUTPUT = (
     arg("--json", action="store_true", help="emit a JSON envelope"),
     arg("--trace", action="store_true", help="include the derivation trace"),
 )
 PAIR = (
-    arg("--base", choices=sorted(core.BUILTIN_PAIRS), default="simplest", help="built-in base pair"),
+    arg("--base", choices=BASES, default="simplest", help="built-in base pair"),
     arg("--category", metavar="FILE", help="load the base pair from a file"),
     arg("--lambda-pair", action="store_true", help="treat self-morphisms a with #a = aa"),
     arg("--fuel", type=int, help="rewrite step budget"),
@@ -344,46 +356,49 @@ LAMBDA = (
 )
 DIAGRAM = (
     arg("--table", metavar="FILE", help="lines 'name: dom -> cod'"),
-    arg("--builtin", choices=list(DIAGRAMS)),
+    arg("--builtin", choices=DIAGRAMS),
 )
 GROUPS = {"smullyan": "printing-machine analysis", "lambda": "named maps and fixed points",
           "reflexive": "categories from arc tables"}
 
 COMMANDS = {
-    "shift": Command("apply the shift to one arrow",
+    "shift": Command("core", "apply the shift to one arrow",
                      PAIR + (arg("arrow", help="reference arrow, e.g. 'g -> F'"),), _shift),
-    "srt1": Command("derive (#g -> F#g) from (g -> F#)", PAIR + (arg("arrow"),), _srt1),
-    "iterate": Command("iterate the shift", PAIR + (
+    "srt1": Command("core", "derive (#g -> F#g) from (g -> F#)", PAIR + (arg("arrow"),), _srt1),
+    "iterate": Command("core", "iterate the shift", PAIR + (
         arg("--arrow", help="starting arrow; defaults to 1 -> 1"),
         arg("--n", type=int, required=True, help="number of shifts"),
     ), _iterate),
-    "smullyan classify": Command("classify a machine string", STRING, _classify),
-    "smullyan arrow": Command("its reference arrow", STRING, _arrow),
-    "smullyan semantics": Command("its truth value in --model", STRING + (arg("--model", **MODEL),),
-                                  _semantics),
-    "smullyan report": Command("the proof that ~R~R is true but unprintable", (), _report),
-    "violations": Command("printed falsehoods of a model", (arg("--model", required=True, **MODEL),),
-                          _violations),
-    "godel-encode": Command("formula text to code number", (arg("text"),),
-                            lambda args: _number(godel.encode(godel.parse_compact(args.text)))),
-    "godel-decode": Command("code number to formula", NUMBER, _godel_decode),
-    "godel-sharp": Command("self-substitution on a code number", NUMBER,
-                           lambda args: _number(godel.sharp_decimal(_wire(*args.number)), args.materialize)),
-    "godel-compose": Command("compose two code numbers", (arg("left"), arg("right")),
-                             lambda args: _number(godel.compose_numbers(_wire(args.left),
-                                                                        _wire(args.right)))),
-    "self-refuter": Command("the formula asserting its own code's unprintability", (), _self_refuter),
-    "lawvere": Command("diagonal and fixed-point report", TABLE + (
+    "smullyan classify": Command("smullyan", "classify a machine string", STRING, _classify),
+    "smullyan arrow": Command("smullyan", "its reference arrow", STRING, _arrow),
+    "smullyan semantics": Command("smullyan", "its truth value in --model",
+                                  STRING + (arg("--model", **MODEL),), _semantics),
+    "smullyan report": Command("smullyan", "the proof that ~R~R is true but unprintable", (), _report),
+    "violations": Command("smullyan", "printed falsehoods of a model",
+                          (arg("--model", required=True, **MODEL),), _violations),
+    "godel-encode": Command("godel", "formula text to code number", (arg("text"),),
+                            lambda godel, args: _number(godel.encode(godel.parse_compact(args.text)))),
+    "godel-decode": Command("godel", "code number to formula", NUMBER, _godel_decode),
+    "godel-sharp": Command("godel", "self-substitution on a code number", NUMBER,
+                           lambda godel, args: _number(godel.sharp_decimal(_wire(godel, *args.number)),
+                                                       args.materialize)),
+    "godel-compose": Command("godel", "compose two code numbers", (arg("left"), arg("right")),
+                             lambda godel, args: _number(godel.compose_numbers(_wire(godel, args.left),
+                                                                               _wire(godel, args.right)))),
+    "self-refuter": Command("godel", "the formula asserting its own code's unprintability", (),
+                            _self_refuter),
+    "lawvere": Command("lawvere", "diagonal and fixed-point report", TABLE + (
         arg("--alpha", default="identity",
             help="'identity', 'negation', or src:dst pairs separated by commas"),
     ), _lawvere),
-    "threeval": Command("three-valued diagonal analysis", TABLE, _threeval),
-    "lambda define": Command("one definition 'name var = body'", LAMBDA, _define),
-    "lambda fixpoint": Command("the fixed point of a term, unfolded --steps times", LAMBDA, _fixpoint),
-    "lambda reduce": Command("normal-order reduction for --steps steps", LAMBDA, _reduce),
-    "reflexive build": Command("the category's objects and generators", DIAGRAM, _build),
-    "reflexive check": Command("whether the category is reflexive", DIAGRAM, _check),
-    "reflexive enumerate": Command("composites of at most --max-len generators",
+    "threeval": Command("lawvere", "three-valued diagonal analysis", TABLE, _threeval),
+    "lambda define": Command("fixpoint", "one definition 'name var = body'", LAMBDA, _define),
+    "lambda fixpoint": Command("fixpoint", "the fixed point of a term, unfolded --steps times", LAMBDA,
+                               _fixpoint),
+    "lambda reduce": Command("fixpoint", "normal-order reduction for --steps steps", LAMBDA, _reduce),
+    "reflexive build": Command("reflexive", "the category's objects and generators", DIAGRAM, _build),
+    "reflexive check": Command("reflexive", "whether the category is reflexive", DIAGRAM, _check),
+    "reflexive enumerate": Command("reflexive", "composites of at most --max-len generators",
                                    DIAGRAM + (arg("--max-len", type=int, default=2),), _enumerate),
 }
 
@@ -418,7 +433,7 @@ def run(argv=None) -> int:
         missing = [n for n, _ in row.args if n[0] != "-" and getattr(args, n) is None]
         if missing:
             args.usage_error(f"the following arguments are required: {', '.join(missing)}")
-        result, lines, *trace = row.run(args)
+        result, lines, *trace = row.run(importlib.import_module(f"{__package__}.{row.engine}"), args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except (DomainError, OSError) as exc:

@@ -258,6 +258,8 @@ class Category:
         object.__setattr__(self, "objects", frozenset(self.objects))
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "rules", tuple(self.rules))
+        if self.rewrite_budget < 0:
+            raise InvalidDefinition("fuel must be non-negative")
         by_name: dict[str, Generator] = {}
         sharps: dict[str, Generator] = {}
         for g in self.generators:

@@ -65,7 +65,8 @@ class _Runs:
 
     def text(self, cap: int = _MATERIALIZE_CAP) -> str:
         if self.length > cap:
-            raise MaterializeTooLarge(f"{self.length} symbols exceed the materialize cap of {cap}")
+            raise MaterializeTooLarge(
+                f"{count_text(self.length)} symbols exceed the materialize cap of {cap}")
         return "".join(str(name) * count for name, count in self.runs)
 
 
@@ -152,9 +153,20 @@ class GodelNumber(_Runs):
         Each distinct run length c gets one power 10**c, formed as 5**c << c,
         which serves both the run's shift and its repunit d*(10**c - 1)//9,
         so the cost is one power per distinct run length plus one multiply
-        per run.  Nothing is kept between calls.
+        per run.  The pass that collects the run lengths also sums them, so
+        a value past the materialize cap is refused before any power is
+        formed.  Nothing is kept between calls.
         """
-        powers = {count: 5**count << count for count in {count for _, count in self.runs}}
+        powers = {}
+        length = 0
+        for _, count in self.runs:
+            length += count
+            powers[count] = None
+        if length > _MATERIALIZE_CAP:
+            raise MaterializeTooLarge(
+                f"a value of {count_text(length)} digits exceeds the materialize cap of {_MATERIALIZE_CAP}")
+        for count in powers:
+            powers[count] = 5**count << count
         v = 0
         for digit, count in self.runs:
             q = powers[count]

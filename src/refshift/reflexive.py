@@ -42,6 +42,7 @@ class ArcTable:
 
 TREFOIL = ArcTable((("A", "C", "B"), ("B", "A", "C"), ("C", "B", "A")))
 LINK = ArcTable((("A", "B", "B"), ("B", "A", "A")))
+BUILTIN_TABLES = {"trefoil": TREFOIL, "link": LINK}
 
 
 def parse_arc_table(text: str) -> ArcTable:

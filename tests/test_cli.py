@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refshift import lawvere
+import refshift
+from refshift import cli, core, lawvere, reflexive
 from refshift.cli import COMMANDS, run
 
 
@@ -592,3 +597,94 @@ def test_alpha_must_not_map_a_source_twice(capsys, tmp_path):
     message = "alpha maps 0 more than once"
     assert assert_error(capsys, argv, "invalid-definition", 1) == message
     assert invoke(capsys, *argv) == (1, "", f"error[invalid-definition]: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["godel-sharp", "5x99999999999"],
+    ["godel-compose", "5", "6x99999999999"],
+    ["godel-sharp", "5x" + "1" * 5001],
+])
+def test_oversized_values_are_typed_errors(capsys, argv):
+    # value() would build an integer of 10**11 digits or more
+    assert assert_error(capsys, argv, "materialize-too-large", 1).startswith("a value of ")
+
+
+def test_oversized_materialized_text_is_a_typed_error(capsys):
+    # the symbol count is past the int/str digit limit, and the message still prints it
+    message = assert_error(capsys, ["godel-decode", "5x" + "1" * 5001, "--materialize"],
+                           "materialize-too-large", 1)
+    assert message == "1" * 5001 + " symbols exceed the materialize cap of 1000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "1_O -> 1_O"],
+    ["srt1", "R -> ~ #", "--base", "russell"],
+    ["iterate", "--n", "2"],
+    ["lambda", "reduce", "(q c)"],
+])
+def test_negative_fuel_is_an_invalid_definition(capsys, argv):
+    message = assert_error(capsys, argv + ["--fuel", "-1"], "invalid-definition", 1)
+    assert message == "fuel must be non-negative"
+
+
+@pytest.mark.parametrize("action", ["reduce", "fixpoint"])
+def test_lambda_steps_must_not_be_negative(capsys, action):
+    argv = ["lambda", action, "F", "--steps", "-3"]
+    assert assert_error(capsys, argv, "usage", 2) == "argument --steps: must be at least 0, got -3"
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("usage: refshift lambda")
+    code, payload, _ = invoke_json(capsys, "lambda", action, "F", "--steps", "0")
+    assert code == 0 and payload["status"] == "ok"
+
+
+# --- a command imports only the engine it runs ---
+
+
+def test_parser_choices_name_the_engines_tables():
+    assert cli.BASES == tuple(sorted(core.BUILTIN_PAIRS))
+    assert cli.DIAGRAMS == tuple(reflexive.BUILTIN_TABLES)
+    engines = {"core", "smullyan", "godel", "lawvere", "fixpoint", "reflexive"}
+    assert {row.engine for row in COMMANDS.values()} == engines
+
+
+def test_package_names_resolve_on_first_use():
+    for name in refshift.__all__:
+        assert getattr(refshift, name) is not None
+    assert set(refshift.__all__) <= set(dir(refshift))
+    assert refshift.Word is core.Word and refshift.DomainError.code == "domain-error"
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        refshift.nosuch
+
+
+def loaded_modules(tmp_path, code, *argv):
+    """refshift's submodules that `python -c code argv...` has loaded when it ends."""
+    probe = code + "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('refshift.'))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(refshift.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60).stdout
+    return out.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("argv,engines", [
+    (["shift", "1_O -> 1_O"], ["core", "runs"]),
+    (["godel-encode", "~P(x)"], ["core", "godel", "runs"]),
+    (["smullyan", "classify", "~R~R"], ["core", "runs", "smullyan"]),
+    (["lawvere", "--table", "bool.json"], ["lawvere"]),
+    (["threeval", "--table", "tri.json"], ["lawvere"]),
+    (["lambda", "define", "q x = x"], ["fixpoint"]),
+    (["lambda", "fixpoint", "F", "--steps", "2"], ["fixpoint"]),
+    (["lambda", "reduce", "(q c)", "--define", "q x = a ((b x) x)"], ["fixpoint"]),
+    (["reflexive", "build", "--builtin", "link"], ["core", "reflexive", "runs"]),
+    (["--help"], []),
+])
+def test_a_command_loads_only_its_engine(tmp_path, argv, engines):
+    (tmp_path / "bool.json").write_text('{"elements": ["a", "b"], "z_elements": ["0", "1"], '
+                                        '"rows": [["0", "1"], ["1", "0"]]}')
+    (tmp_path / "tri.json").write_text('{"elements": ["x0"], "z_elements": ["0", "1", "J"], "rows": [["J"]]}')
+    probe = "import sys\nfrom refshift.cli import run\nassert run(sys.argv[1:]) == 0"
+    loaded = loaded_modules(tmp_path, probe, *argv, "--json")
+    assert loaded == sorted(f"refshift.{m}" for m in ["cli", "errors", *engines])
+
+
+def test_importing_the_package_loads_no_engine(tmp_path):
+    assert loaded_modules(tmp_path, "import sys, refshift") == []

@@ -540,6 +540,12 @@ def test_category_refuses_a_generator_name_used_twice():
         category_from_digraph(["a", "b"], [("#a", "b", "b")])
 
 
+def test_category_refuses_a_negative_rewrite_budget():
+    with pytest.raises(InvalidDefinition, match="^fuel must be non-negative$"):
+        Category(frozenset({"O"}), (), rewrite_budget=-1)
+    assert Category(frozenset({"O"}), (), rewrite_budget=0).rewrite_budget == 0
+
+
 @pytest.mark.parametrize("pattern, replacement", [(("u",), ("w",)), (("w", "u"), ()), (("u", "1"), ())])
 def test_category_refuses_a_rule_token_that_names_no_generator(pattern, replacement):
     # a replacement would fail mid-normalize; a pattern would silently never match

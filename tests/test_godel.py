@@ -27,6 +27,7 @@ from refshift.errors import (
     EmptyFormula,
     InvalidAxiom,
     InvalidSymbol,
+    MaterializeTooLarge,
     NoFreeVariable,
     NotComposable,
     NotSrt1Shape,
@@ -125,6 +126,22 @@ run_counts = st.one_of(st.sampled_from([1, 2, 3, 9, 64]), st.integers(1, 200))
 def test_value_matches_horner(runs):
     g = GodelNumber(normalize_runs(runs))
     assert g.value() == horner_value(g.runs)
+
+
+def test_value_past_the_materialize_cap_is_refused_before_any_power(monkeypatch):
+    # 10**11 digits would take minutes to form; the refusal must not form a power first
+    with pytest.raises(MaterializeTooLarge, match="a value of 99999999999 digits exceeds"):
+        GodelNumber(((6, 99999999999),)).value()
+    # many runs each under the cap, together over it
+    with pytest.raises(MaterializeTooLarge, match="a value of 2000000 digits exceeds"):
+        GodelNumber(tuple((5 + i % 2, 20000) for i in range(100))).value()
+    # a length past the int/str digit limit is still reported as decimal text
+    with pytest.raises(MaterializeTooLarge, match="a value of 1{5001} digits exceeds"):
+        GodelNumber(((6, (10**5001 - 1) // 9),)).value()
+    monkeypatch.setattr(godel, "_MATERIALIZE_CAP", 10)
+    assert GodelNumber(((3, 1), (6, 9))).value() == 3666666666
+    with pytest.raises(MaterializeTooLarge):
+        GodelNumber(((3, 2), (6, 9))).value()
 
 
 def test_self_refuter_value_mod_prime():
