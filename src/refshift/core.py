@@ -34,7 +34,7 @@ from .errors import (
     NotTwoCategory,
     RewriteBudgetExceeded,
 )
-from .runs import merge_runs, parse, parse_token, render
+from .runs import merge_runs, parse, parse_token, render, runs_of
 
 DEFAULT_REWRITE_BUDGET = 10_000
 
@@ -248,11 +248,12 @@ class Category:
     rules: tuple[RewriteRule, ...] = ()
     rewrite_budget: int = DEFAULT_REWRITE_BUDGET
     # built in __post_init__: name -> its generator, object -> its sharp,
-    # name -> the rules whose pattern may start with it, and the rules starting with "?v"
+    # name -> the compiled rules whose pattern may start with it, and
+    # normalize's back-off (longest pattern - 1)
     _by_name: dict = field(init=False, repr=False, compare=False)
     _sharps: dict = field(init=False, repr=False, compare=False)
     _starts: dict = field(init=False, repr=False, compare=False)
-    _wild: tuple = field(init=False, repr=False, compare=False)
+    _reach: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objects", frozenset(self.objects))
@@ -272,21 +273,35 @@ class Category:
                 if g.dom in sharps:
                     raise InvalidDefinition(f"object {g.dom} has more than one sharp generator")
                 sharps[g.dom] = g
+        # the compiled rules: (size, pattern, replacement, rule) in declaration
+        # order, a rule starting with "?v" under every name.  A literal rule
+        # keeps its pattern and replacement as name lists and rule None; a
+        # rule with placeholders keeps pattern None and is matched by
+        # rule.rewrite.  A literal rule whose replacement is its pattern never
+        # makes progress, so it is left out.
+        starts: dict[str, list] = {}
+        reach = 0
         for rule in self.rules:
             # in a replacement "1" is the empty word; in a pattern it is a name like any other
-            literals = rule.pattern + tuple(t for t in rule.replacement if t != "1")
+            replacement = [tok for tok in rule.replacement if tok != "1"]
+            literals = rule.pattern + tuple(replacement)
             unknown = [t for t in literals if not t.startswith("?") and t not in by_name]
             if unknown:
                 raise InvalidDefinition(f"rule {rule} names no generator {unknown[0]!r}")
-        wild = tuple(rule for rule in self.rules if rule.pattern[0].startswith("?"))
-        starts = {
-            name: tuple(rule for rule in self.rules if rule.pattern[0] == name or rule in wild)
-            for name in by_name
-        }
+            if any(tok.startswith("?") for tok in rule.pattern):
+                entry = (len(rule.pattern), None, None, rule)
+            elif replacement != list(rule.pattern):
+                entry = (len(rule.pattern), list(rule.pattern), replacement, None)
+            else:
+                continue
+            first = rule.pattern[0]
+            for name in by_name if first.startswith("?") else (first,):
+                starts.setdefault(name, []).append(entry)
+            reach = max(reach, len(rule.pattern) - 1)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_sharps", sharps)
-        object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_wild", wild)
+        object.__setattr__(self, "_starts", {name: tuple(found) for name, found in starts.items()})
+        object.__setattr__(self, "_reach", reach)
 
     def generator(self, name: str) -> Generator:
         found = self._by_name.get(name)
@@ -324,24 +339,41 @@ class Category:
     def normalize(self, w: Word) -> Word:
         """Exhaustive leftmost rewriting under this category's rules.
 
-        A rewrite at pos leaves every window that ends before pos as it
-        was, and none of those matched, so the search for the next leftmost
-        redex resumes at pos - (longest pattern - 1) instead of at 0.  At
-        each position only the rules whose pattern can start with that
-        generator's name are tried, in their order.
+        A word none of whose run generators starts a rule is returned as it
+        is, in one step per run (a rule starting with "?v" starts at every
+        generator).  Otherwise the word is spelled out as generator names.
+        A rewrite at pos leaves every window that ends before pos as it was,
+        and none of those matched, so the search for the next leftmost redex
+        resumes at pos - reach (the longest pattern less one) instead of at
+        0.  At each position only the rules whose pattern can start with
+        that name are tried, in their order; a literal pattern is matched by
+        comparing names, a pattern with placeholders by RewriteRule.rewrite.
         """
-        if not self.rules:
+        starts = self._starts
+        if not starts or not any(g.name in starts for g, _ in w.runs):
             return w
-        gens = list(w.gens)
-        reach = max(len(rule.pattern) for rule in self.rules) - 1
-        steps = 0
-        pos = 0
-        while pos < len(gens):
-            for rule in self._starts.get(gens[pos].name, self._wild):
-                size = len(rule.pattern)
-                if pos + size <= len(gens):
-                    repl = rule.rewrite(gens[pos : pos + size], self)
-                    if repl is not None:
+        lookup = self._by_name
+        names: list[str] = []
+        for g, count in w.runs:
+            known = lookup.get(g.name)
+            if known is not g and known != g:
+                raise InvalidDefinition(f"generator {g.name}:{g.dom}->{g.cod} is not in the category")
+            names += [g.name] * count
+        reach = self._reach
+        steps = pos = 0
+        length = len(names)
+        while pos < length:
+            for size, pattern, repl, rule in starts.get(names[pos], ()):
+                end = pos + size
+                if end > length:
+                    continue
+                if rule is None:
+                    if names[pos:end] == pattern:
+                        break
+                else:
+                    found = rule.rewrite([lookup[name] for name in names[pos:end]], self)
+                    if found is not None:
+                        repl = [g.name for g in found]
                         break
             else:
                 pos += 1
@@ -351,12 +383,14 @@ class Category:
                 raise RewriteBudgetExceeded(
                     f"normalization of {w} exceeded the budget of {self.rewrite_budget} steps"
                 )
-            gens[pos : pos + size] = repl
-            pos = max(0, pos - reach)
+            names[pos:end] = repl
+            length += len(repl) - size
+            pos = pos - reach if pos > reach else 0
         if not steps:
             return w
         try:
-            return Word(gens, w.dom, w.cod)
+            runs = [(lookup[name], count) for name, count in runs_of(names)]
+            return Word.from_runs(runs, w.dom, w.cod)
         except ChainMismatch as exc:
             raise InvalidRule(f"rewriting {w} produced an ill-typed word") from exc
 
@@ -539,7 +573,7 @@ def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
 def iterate_shift(pair: CategoricalPair, r: RefArrow, n: int) -> ShiftSequence:
     """Apply the shift up to n times, stopping early when it no longer applies."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidDefinition(f"n must be at least 1, got {n}")
     arrows: list[RefArrow] = []
     labels: list[str] = []
     current = r

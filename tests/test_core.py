@@ -2,7 +2,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refshift import core
 from refshift.core import (
@@ -30,6 +30,7 @@ from refshift.errors import (
     DanglingEdge,
     EndpointMismatch,
     InvalidDefinition,
+    InvalidRule,
     NoSharpGenerator,
     NotComposable,
     NotSrt1Shape,
@@ -276,7 +277,7 @@ def test_iterate_stops_on_two_node_graph():
 def test_iterate_rejects_nonpositive():
     pair = core.simplest_pair()
     ident = pair.base.identity("O")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDefinition, match="^n must be at least 1, got 0$"):
         iterate_shift(pair, RefArrow(ident, ident), 0)
 
 
@@ -721,7 +722,10 @@ def test_iterate_russell_runs():
 
 # --- resumed normalization ---
 
-RULE_NAMES = ("a", "b", "c")
+# words use a, b and c; rules may also name d (never in a word) and h: O -> P,
+# which no generator can follow, so a replacement holding h ends in InvalidRule
+WORD_NAMES = ("a", "b", "c")
+RULE_NAMES = WORD_NAMES + ("d", "h")
 
 
 @st.composite
@@ -732,7 +736,39 @@ def rule_sets(draw):
         bound = tuple(sorted({tok for tok in pattern if tok.startswith("?")}))
         replacement = draw(st.lists(st.sampled_from(RULE_NAMES + ("1",) + bound), max_size=3))
         rules.append(RewriteRule(tuple(pattern), tuple(replacement)))
+    if draw(st.booleans()):
+        # a literal rule that makes no progress, such as u => u
+        still = tuple(draw(st.lists(st.sampled_from(RULE_NAMES), min_size=1, max_size=2)))
+        rules.insert(draw(st.integers(0, len(rules))), RewriteRule(still, still))
     return tuple(rules)
+
+
+def resumed_oracle(cat, word):
+    """Leftmost rewriting over single generators, resuming longest pattern - 1 back."""
+    if not cat.rules:
+        return word
+    gens = list(word.gens)
+    reach = max(len(rule.pattern) for rule in cat.rules) - 1
+    steps = pos = 0
+    while pos < len(gens):
+        for rule in cat.rules:
+            size = len(rule.pattern)
+            if rule.pattern[0] == gens[pos].name or rule.pattern[0].startswith("?"):
+                if pos + size <= len(gens):
+                    repl = rule.rewrite(gens[pos : pos + size], cat)
+                    if repl is not None:
+                        break
+        else:
+            pos += 1
+            continue
+        steps += 1
+        if steps > cat.rewrite_budget:
+            raise RewriteBudgetExceeded(
+                f"normalization of {word} exceeded the budget of {cat.rewrite_budget} steps"
+            )
+        gens[pos : pos + size] = repl
+        pos = max(0, pos - reach)
+    return _typed(cat, gens, word)
 
 
 def restart_normalize(cat, word):
@@ -745,27 +781,70 @@ def restart_normalize(cat, word):
             if found is not None:
                 break
         else:
-            return Word(gens, word.dom, word.cod)
+            return _typed(cat, gens, word)
         steps += 1
         if steps > cat.rewrite_budget:
-            raise RewriteBudgetExceeded("over budget")
+            raise RewriteBudgetExceeded(
+                f"normalization of {word} exceeded the budget of {cat.rewrite_budget} steps"
+            )
         gens = found
 
 
-@given(rule_sets(), st.lists(st.sampled_from(RULE_NAMES), max_size=14))
-def test_resumed_normalize_matches_restart(rules, names):
-    from dataclasses import replace
-
-    pair = category_from_digraph(["O"], [(n, "O", "O") for n in RULE_NAMES], rules=rules)
-    cat = replace(pair.base, rewrite_budget=20)
-    word = cat.word(names) if names else cat.identity("O")
+def _typed(cat, gens, word):
     try:
-        expected = restart_normalize(cat, word)
-    except RewriteBudgetExceeded:
-        with pytest.raises(RewriteBudgetExceeded):
-            cat.normalize(word)
-    else:
-        assert cat.normalize(word) == expected
+        return Word(gens, word.dom, word.cod)
+    except ChainMismatch as exc:
+        raise InvalidRule(f"rewriting {word} produced an ill-typed word") from exc
+
+
+def _outcome(normalize, cat, word):
+    """The normal form, or the type and message of the error normalizing raises."""
+    try:
+        return normalize(cat, word)
+    except (RewriteBudgetExceeded, InvalidRule) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(
+    rule_sets(),
+    st.lists(st.tuples(st.sampled_from(WORD_NAMES), st.integers(1, 5)), max_size=6),
+    st.integers(0, 20),
+)
+# b => a makes the redex a a start one place left of the rewrite
+@example((RewriteRule(("b",), ("a",)), RewriteRule(("a", "a"), ())), [("a", 1), ("b", 1)], 20)
+def test_resumed_normalize_matches_restart(rules, runs, budget):
+    gens = [Generator(n, "O", "O") for n in RULE_NAMES[:-1]] + [Generator("h", "O", "P")]
+    cat = Category(frozenset({"O", "P"}), tuple(gens), rules, rewrite_budget=budget)
+    word = Word.from_runs([(cat.generator(n), count) for n, count in runs], "O", "O")
+    expected = _outcome(restart_normalize, cat, word)
+    assert _outcome(resumed_oracle, cat, word) == expected
+    assert _outcome(Category.normalize, cat, word) == expected
+
+
+UV_SHARP = load_pair_text("""\
+object O
+generator u : O -> O
+generator v : O -> O
+sharp # : O
+rule u v =>
+""")
+
+
+def test_normalize_leaves_a_word_no_rule_starts_in_o_runs():
+    # spelling #^(10^12) out as generators could not finish
+    cat = UV_SHARP.base
+    word = Word.from_runs([(cat.sharp_at("O"), 10**12)], "O", "O")
+    assert cat.normalize(word) is word
+    final = iterate_shift(UV_SHARP, parse_arrow(UV_SHARP, "1_O -> 1_O"), 2000).final
+    assert str(final) == "#^2000 -> #^1999000"
+
+
+def test_normalize_refuses_a_generator_outside_the_category():
+    cat = UV_SHARP.base
+    stranger = Generator("u", "O", "O", is_sharp=True)  # named like u, but not u
+    with pytest.raises(InvalidDefinition, match="^generator u:O->O is not in the category$"):
+        cat.normalize(Word.of(stranger, cat.generator("v")))
 
 
 # --- the lambda shift against horizontal composition ---
