@@ -33,9 +33,7 @@ __all__ = [
     "ShiftSequence",
     "Word",
     "category_from_digraph",
-    "check_interchange",
     "compose",
-    "horizontal_compose",
     "indicative_shift",
     "is_composable_reference",
     "iterate_shift",

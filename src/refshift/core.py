@@ -31,7 +31,6 @@ from .errors import (
     NoSharpGenerator,
     NotComposable,
     NotSrt1Shape,
-    NotTwoCategory,
     RewriteBudgetExceeded,
 )
 from .runs import merge_runs, parse, parse_token, render, runs_of
@@ -413,14 +412,12 @@ class RefArrow:
 class CategoricalPair:
     """A base category together with reference arrows between its words.
 
-    ``two_category`` enables horizontal composition; a lambda pair is a
-    two-category in which shifting a self-morphism a uses aa for #a.
+    In a lambda pair, shifting a self-morphism a uses aa for #a.
     """
 
     base: Category
     arrows: tuple[RefArrow, ...] = ()
     is_lambda_pair: bool = False
-    two_category: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "arrows", tuple(self.arrows))
@@ -431,10 +428,6 @@ class CategoricalPair:
                     raise InvalidDefinition(f"arrow {arrow} uses objects outside the base category")
                 if any(g not in gens for g, _ in word.runs):
                     raise InvalidDefinition(f"arrow {arrow} uses generators outside the base category")
-
-    @property
-    def is_two_category(self) -> bool:
-        return self.two_category or self.is_lambda_pair
 
 
 @dataclass(frozen=True)
@@ -478,9 +471,6 @@ class ShiftSequence:
     arrows: tuple[RefArrow, ...]
     rules: tuple[str, ...]
     stop_reason: str | None = None
-
-    def __iter__(self):
-        return iter(self.arrows)
 
     def __len__(self):
         return len(self.arrows)
@@ -592,46 +582,13 @@ def iterate_shift(pair: CategoricalPair, r: RefArrow, n: int) -> ShiftSequence:
     return ShiftSequence(tuple(arrows), tuple(labels), reason)
 
 
-def horizontal_compose(pair: CategoricalPair, alpha: RefArrow, beta: RefArrow) -> RefArrow:
-    """(a -> b) o0 (d -> e) = (ad -> be); requires a two-category pair."""
-    if not pair.is_two_category:
-        raise NotTwoCategory("horizontal composition needs a pair flagged as a two-category")
-    src = compose(pair.base, alpha.src, beta.src)
-    dst = compose(pair.base, alpha.dst, beta.dst)
-    return RefArrow(src, dst)
-
-
 def vertical_compose(pair: CategoricalPair, gamma: RefArrow, alpha: RefArrow) -> RefArrow:
-    """(b -> c) o1 (a -> b) = (a -> c)."""
+    """(b -> c) after (a -> b) is (a -> c): reference arrows compose by transitivity."""
     if not pair.base.words_equal(alpha.dst, gamma.src):
         raise EndpointMismatch(
             f"cannot compose vertically: {alpha} does not end where {gamma} begins"
         )
     return RefArrow(alpha.src, gamma.dst)
-
-
-def check_interchange(
-    pair: CategoricalPair,
-    alpha: RefArrow,
-    beta: RefArrow,
-    gamma: RefArrow,
-    delta: RefArrow,
-) -> bool:
-    """Compare (alpha o0 beta) o1 (gamma o0 delta) with (gamma o1 alpha) o0 (delta o1 beta)."""
-    if not pair.is_two_category:
-        raise NotTwoCategory("the interchange law lives in a two-category")
-    base = pair.base
-    if not base.words_equal(alpha.dst, gamma.src):
-        raise EndpointMismatch("gamma does not vertically follow alpha")
-    if not base.words_equal(beta.dst, delta.src):
-        raise EndpointMismatch("delta does not vertically follow beta")
-    top = horizontal_compose(pair, alpha, beta)
-    bottom = horizontal_compose(pair, gamma, delta)
-    lhs = vertical_compose(pair, bottom, top)
-    rhs = horizontal_compose(
-        pair, vertical_compose(pair, gamma, alpha), vertical_compose(pair, delta, beta)
-    )
-    return base.words_equal(lhs.src, rhs.src) and base.words_equal(lhs.dst, rhs.dst)
 
 
 def category_from_digraph(
@@ -702,14 +659,13 @@ def load_pair_text(text: str) -> CategoricalPair:
         sharp NAME : OBJ
         rule TOK [TOK ...] => TOK [TOK ...]
         arrow WORD -> WORD
-        flags [lambda] [two-category]
+        flags lambda
     """
     objects: list[str] = []
     gens: list[Generator] = []
     rule_specs: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     arrow_specs: list[str] = []
     lambda_flag = False
-    two_cat_flag = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
@@ -736,8 +692,6 @@ def load_pair_text(text: str) -> CategoricalPair:
                 for flag in rest.split():
                     if flag in ("lambda", "lambda-pair"):
                         lambda_flag = True
-                    elif flag in ("two-category", "two_category"):
-                        two_cat_flag = True
                     else:
                         raise InvalidDefinition(f"unknown flag {flag!r}")
             else:
@@ -747,6 +701,6 @@ def load_pair_text(text: str) -> CategoricalPair:
 
     rules = tuple(RewriteRule(p, r) for p, r in rule_specs)
     cat = Category(frozenset(objects), tuple(gens), rules)
-    pair = CategoricalPair(cat, is_lambda_pair=lambda_flag, two_category=two_cat_flag)
+    pair = CategoricalPair(cat, is_lambda_pair=lambda_flag)
     arrows = tuple(parse_arrow(pair, spec) for spec in arrow_specs)
     return replace(pair, arrows=arrows)

@@ -40,10 +40,6 @@ class NotSrt1Shape(DomainError):
     code = "not-srt1-shape"
 
 
-class NotTwoCategory(DomainError):
-    code = "not-two-category"
-
-
 class EndpointMismatch(DomainError):
     code = "endpoint-mismatch"
 

@@ -189,9 +189,6 @@ class ReduceResult:
     steps_used: int
     exhausted: bool  # a redex remained when the step allowance ran out
 
-    def __iter__(self):
-        return iter((self.term, self.steps_used))
-
 
 def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
     """At most `steps` normal-order (leftmost-outermost) rewrites.

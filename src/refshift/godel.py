@@ -192,9 +192,6 @@ class GodelNumber(_Runs):
     def __str__(self):
         return self.wire()
 
-    def __int__(self):
-        return self.value()
-
 
 def encode(f: Formula) -> GodelNumber:
     """Digit code of a nonempty formula; runs carry over one-for-one."""

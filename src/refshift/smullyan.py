@@ -72,6 +72,11 @@ def _split(s: str) -> tuple[str, str] | None:
 
 
 def _assertion(kind: str, body: str) -> tuple[str, bool]:
+    """The string whose printability a string of this kind and body asserts.
+
+    Returns (subject, asserted_printable): P/~P talk about X itself, R/~R
+    about the doubling XX; the ~ forms assert unprintability.
+    """
     return (body if kind[-1] == "P" else body + body), kind[0] != "~"
 
 
@@ -84,31 +89,22 @@ def classify(s: str) -> Classification | None:
     return None if split is None else Classification(*split)
 
 
-def assertion_of(c: Classification) -> tuple[str, bool]:
-    """The string whose printability the classified string asserts.
-
-    Returns (subject, asserted_printable): P/~P talk about X itself, R/~R
-    about the doubling XX; the ~ forms assert unprintability.
-    """
-    return _assertion(c.kind, c.body)
-
-
 def reference_arrow(s: str) -> RefArrow | None:
     """The rule arrow for an interpretable string, e.g. RX -> P[XX]; else None."""
-    c = classify(s)
-    if c is None:
+    split = _split(s)
+    if split is None:
         return None
-    subject, positive = assertion_of(c)
+    subject, positive = _assertion(*split)
     prefix = "P" if positive else "~P"
     return RefArrow(word(s), word(f"{prefix}[{subject}]"))
 
 
 def semantics(s: str, m: MachineModel) -> bool | None:
     """Truth of s against the machine model; None when s has no meaning."""
-    c = classify(s)
-    if c is None:
+    split = _split(s)
+    if split is None:
         return None
-    subject, positive = assertion_of(c)
+    subject, positive = _assertion(*split)
     return (subject in m.printable) == positive
 
 
@@ -122,7 +118,7 @@ def _sweep(printable: frozenset[str]) -> tuple[list[str], dict[str, list[str]]]:
     false: list[str] = []
     claims: dict[str, list[str]] = {}
     for s in printable:
-        split = _split(s)  # classify without building a Classification per string
+        split = _split(s)
         if split is None:
             continue
         subject, positive = _assertion(*split)

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,9 +14,7 @@ from refshift.core import (
     RewriteRule,
     Word,
     category_from_digraph,
-    check_interchange,
     compose,
-    horizontal_compose,
     indicative_shift,
     is_composable_reference,
     iterate_shift,
@@ -34,7 +33,6 @@ from refshift.errors import (
     NoSharpGenerator,
     NotComposable,
     NotSrt1Shape,
-    NotTwoCategory,
     RewriteBudgetExceeded,
 )
 
@@ -44,11 +42,11 @@ def two_object_pair():
     return category_from_digraph(["X", "Y"], [("g", "X", "X"), ("F", "X", "Y")])
 
 
-def free_pair(names="ab", two_category=False, lambda_pair=False):
+def free_pair(names="ab", lambda_pair=False):
     pair = category_from_digraph(["O"], [(n, "O", "O") for n in names])
     from dataclasses import replace
 
-    return replace(pair, two_category=two_category, is_lambda_pair=lambda_pair)
+    return replace(pair, is_lambda_pair=lambda_pair)
 
 
 # --- words and composition ---
@@ -281,39 +279,7 @@ def test_iterate_rejects_nonpositive():
         iterate_shift(pair, RefArrow(ident, ident), 0)
 
 
-# --- two-category operations ---
-
-
-def test_horizontal_compose():
-    pair = free_pair(names="abde", two_category=True)
-    cat = pair.base
-    w = cat.word
-    arrow = horizontal_compose(pair, RefArrow(w("a"), w("b")), RefArrow(w("d"), w("e")))
-    assert arrow == RefArrow(w("a d"), w("b e"))
-
-
-def test_horizontal_requires_flag():
-    pair = free_pair()
-    ident = pair.base.identity("O")
-    with pytest.raises(NotTwoCategory):
-        horizontal_compose(pair, RefArrow(ident, ident), RefArrow(ident, ident))
-
-
-def test_horizontal_with_identity_reference_is_srt2_step():
-    pair = free_pair(names="aF", two_category=True)
-    w = pair.base.word
-    arrow = horizontal_compose(pair, RefArrow(w("a"), w("F")), RefArrow(w("a"), w("a")))
-    assert arrow == RefArrow(w("a a"), w("F a"))
-
-
-def test_horizontal_chain_mismatch():
-    pair = category_from_digraph(["X", "Y"], [("u", "X", "Y")])
-    from dataclasses import replace
-
-    pair = replace(pair, two_category=True)
-    u = Word.of(pair.base.generator("u"))
-    with pytest.raises(ChainMismatch):
-        horizontal_compose(pair, RefArrow(u, u), RefArrow(u, u))
+# --- reference arrows ---
 
 
 def test_vertical_compose():
@@ -326,55 +292,6 @@ def test_vertical_compose():
     assert vertical_compose(pair, ident_ref, ident_ref) == ident_ref
     with pytest.raises(EndpointMismatch):
         vertical_compose(pair, RefArrow(w("c"), w("c")), RefArrow(w("a"), w("b")))
-
-
-def all_words(cat, names, max_len):
-    gens = [cat.generator(n) for n in names]
-    words = [cat.identity("O")]
-    layer = [cat.identity("O")]
-    for _ in range(max_len):
-        layer = [Word.from_generators((g,) + w.gens) for w in layer for g in gens]
-        words.extend(layer)
-    return words
-
-
-def test_interchange_exhaustive_free_base():
-    pair = free_pair(names="u", two_category=True)
-    words = all_words(pair.base, "u", 2)
-    for a, b, c, d, e, f in itertools.product(words, repeat=6):
-        assert check_interchange(
-            pair, RefArrow(a, b), RefArrow(d, e), RefArrow(b, c), RefArrow(e, f)
-        )
-
-
-def test_interchange_sampled_two_generators():
-    import random
-
-    rng = random.Random(31)
-    pair = free_pair(names="uv", two_category=True)
-    words = all_words(pair.base, "uv", 2)
-    for _ in range(2000):
-        a, b, c, d, e, f = (rng.choice(words) for _ in range(6))
-        assert check_interchange(
-            pair, RefArrow(a, b), RefArrow(d, e), RefArrow(b, c), RefArrow(e, f)
-        )
-
-
-def test_interchange_identities():
-    pair = free_pair(names="ad", two_category=True)
-    w = pair.base.word
-    ia, id_ = RefArrow(w("a"), w("a")), RefArrow(w("d"), w("d"))
-    assert check_interchange(pair, ia, id_, ia, id_)
-
-
-def test_interchange_hypothesis_violation():
-    pair = free_pair(names="abcd", two_category=True)
-    w = pair.base.word
-    with pytest.raises(EndpointMismatch):
-        check_interchange(
-            pair, RefArrow(w("a"), w("b")), RefArrow(w("d"), w("d")),
-            RefArrow(w("c"), w("c")), RefArrow(w("d"), w("d")),
-        )
 
 
 def test_compose_associative_exhaustive():
@@ -510,13 +427,13 @@ generator F : O -> O
 sharp # : O
 rule u u =>
 arrow u -> F
-flags two-category
+flags lambda
 """
 
 
 def test_load_pair_text():
     pair = load_pair_text(PAIR_TEXT)
-    assert pair.two_category and not pair.is_lambda_pair
+    assert pair.is_lambda_pair
     assert len(pair.arrows) == 1
     cat = pair.base
     assert cat.normalize(cat.word("u u u")) == cat.word("u")
@@ -524,9 +441,19 @@ def test_load_pair_text():
     assert str(arrow) == "u -> F"
 
 
+def test_readme_pair_file_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```text\nobject O\n", 1)[1].split("```", 1)[0]
+    pair = load_pair_text("object O\n" + block)
+    arrow = srt1(pair, pair.arrows[0]).final
+    assert str(arrow) == "#R -> ~#R"
+
+
 def test_load_pair_rejects_unknown_directive():
     with pytest.raises(InvalidDefinition):
         load_pair_text("widget O")
+    with pytest.raises(InvalidDefinition, match="^unknown flag 'two-category'$"):
+        load_pair_text("object O\nflags two-category")
 
 
 def test_load_pair_rejects_duplicate_names():
@@ -875,5 +802,6 @@ def test_lambda_shift_is_horizontal_composition_with_the_source(src, dst, prefix
     if prefix:
         dst = compose(LAMBDA_PAIR.base, LAMBDA_PAIR.base.word(list(prefix)), dst)
     r = RefArrow(src, dst)
-    oracle = horizontal_compose(LAMBDA_PAIR, r, RefArrow(src, src))
+    base = LAMBDA_PAIR.base
+    oracle = RefArrow(compose(base, src, src), compose(base, dst, src))
     assert shift_step(LAMBDA_PAIR, r) == (oracle, "shift-lambda")
