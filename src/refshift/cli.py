@@ -189,7 +189,12 @@ def _iterate(core, args):
     seq = core.iterate_shift(pair, arrow, args.n)
     arrows = [str(a) for a in seq.arrows]
     stop = [f"stopped early: {seq.stop_reason}"] if seq.stop_reason else []
-    return {"arrows": arrows, "rules": list(seq.rules), "stop_reason": seq.stop_reason}, arrows + stop
+    trace = None
+    if args.trace:  # one step per shifted arrow, so built only when asked for
+        trace = core.Derivation([core.DerivationStep("axiom", arrow),
+                                 *map(core.DerivationStep, seq.rules, seq.arrows)])
+    result = {"arrows": arrows, "rules": list(seq.rules), "stop_reason": seq.stop_reason}
+    return result, arrows + stop, trace
 
 
 def _report(smullyan, args):

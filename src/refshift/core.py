@@ -78,20 +78,13 @@ class Word:
 
     def __init__(self, gens: Iterable[Generator], dom: str, cod: str):
         runs, length = _chained(zip(gens, repeat(1)), dom, cod)
-        self._store(runs, dom, cod, length)
-
-    def _store(self, runs: tuple, dom: str, cod: str, length: int):
-        self._runs = runs
-        self._dom = dom
-        self._cod = cod
-        self._len = length
-        self._hash = None
+        self._runs, self._dom, self._cod, self._len, self._hash = runs, dom, cod, length, None
 
     @classmethod
     def _trusted(cls, runs: tuple, dom: str, cod: str, length: int) -> "Word":
         """A word of runs the caller knows to be maximal and chained from dom to cod."""
         word = object.__new__(cls)
-        word._store(runs, dom, cod, length)
+        word._runs, word._dom, word._cod, word._len, word._hash = runs, dom, cod, length, None
         return word
 
     @classmethod
@@ -482,17 +475,21 @@ class ShiftSequence:
 
 def concat(f: Word, g: Word) -> Word:
     """The free composite fg ("f after g"), not normalized; requires cod(g) == dom(f)."""
-    if f.dom != g.cod:
+    if f._dom != g._cod:
         raise ChainMismatch(
             f"cannot compose {f} after {g}: codomain {g.cod} does not match domain {f.dom}"
         )
     # both words chain and meet at f.dom == g.cod, so only the seam can merge
-    left, right = f.runs, g.runs
-    if left and right and _same(left[-1][0], right[0][0]):
-        runs = left[:-1] + ((left[-1][0], left[-1][1] + right[0][1]),) + right[1:]
+    left, right = f._runs, g._runs
+    if left and right:
+        (inner, count), (outer, more) = left[-1], right[0]
+        if inner is outer or _same(inner, outer):
+            runs = left[:-1] + ((inner, count + more),) + right[1:]
+        else:
+            runs = left + right
     else:
-        runs = left + right
-    return Word._trusted(runs, g.dom, f.cod, f._len + g._len)
+        runs = left or right
+    return Word._trusted(runs, g._dom, f._cod, f._len + g._len)
 
 
 def compose(cat: Category, f: Word, g: Word) -> Word:
@@ -519,27 +516,39 @@ def shift_derivation(axiom: RefArrow, shifted: RefArrow, rule: str) -> Derivatio
     return Derivation((DerivationStep("axiom", axiom), DerivationStep(rule, shifted)))
 
 
-def shift_step(pair: CategoricalPair, r: RefArrow) -> tuple[RefArrow, str]:
-    """The shifted arrow plus the inference label used to produce it.
+def _shift_plan(pair: CategoricalPair, r: RefArrow) -> tuple[Word | None, str]:
+    """The sharp for shifting r and its inference label; None means a is its own sharp.
 
     In a lambda pair a self-morphism source a is its own sharp, #a = aa
     (label "shift-lambda"); otherwise the sharp generator at the source's
     codomain is the sharp (label "shift", or "shift-sharp-fallback" when a
-    lambda pair falls back to a free sharp for a non-self source).
+    lambda pair falls back to a free sharp for a non-self source).  The
+    shift keeps a's endpoints, since #a and aa both run from a's domain to
+    its codomain, so the plan of r holds for every arrow shifted from it.
     """
     if not is_composable_reference(pair, r):
         raise NotComposable(
             f"{r} is not a composable reference: codomain {r.src.cod} != domain {r.dst.dom}"
         )
     if pair.is_lambda_pair and r.src.is_self_morphism:
-        sharp, label = r.src, "shift-lambda"
-    else:
-        gen = pair.base.sharp_at(r.src.cod)
-        if gen is None:
-            raise NoSharpGenerator(f"no sharp generator at object {r.src.cod!r}")
-        sharp = Word._trusted(((gen, 1),), gen.dom, gen.cod, 1)
-        label = "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
-    return shift(partial(compose, pair.base), sharp, r), label
+        return None, "shift-lambda"
+    gen = pair.base.sharp_at(r.src.cod)
+    if gen is None:
+        raise NoSharpGenerator(f"no sharp generator at object {r.src.cod!r}")
+    sharp = Word._trusted(((gen, 1),), gen.dom, gen.cod, 1)
+    return sharp, "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
+
+
+def shift_step(pair: CategoricalPair, r: RefArrow) -> tuple[RefArrow, str]:
+    """The shifted arrow plus the inference label used to produce it.
+
+    The sharp and the label are those of _shift_plan: a itself in a lambda
+    pair when a is a self-morphism ("shift-lambda"), else the sharp generator
+    at a's codomain ("shift", or "shift-sharp-fallback" in a lambda pair).
+    Raises NotComposable or NoSharpGenerator when the shift does not apply.
+    """
+    sharp, label = _shift_plan(pair, r)
+    return shift(partial(compose, pair.base), r.src if sharp is None else sharp, r), label
 
 
 def indicative_shift(pair: CategoricalPair, r: RefArrow) -> RefArrow:
@@ -561,25 +570,33 @@ def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
 
 
 def iterate_shift(pair: CategoricalPair, r: RefArrow, n: int) -> ShiftSequence:
-    """Apply the shift up to n times, stopping early when it no longer applies."""
+    """Apply the shift up to n times, stopping early when it no longer applies.
+
+    The result is that of calling shift_step n times, with NotComposable and
+    NoSharpGenerator read as the stop reasons "not-composable" and
+    "no-sharp-generator".  Since the shift keeps a's endpoints, the sharp and
+    the label are resolved once, from r; each step only checks that its
+    arrow still composes (after the first shift, that a is a self-morphism)
+    and then costs two seam concatenations, each normalized, and one arrow.
+    """
     if n < 1:
         raise InvalidDefinition(f"n must be at least 1, got {n}")
+    try:
+        sharp, label = _shift_plan(pair, r)
+    except NotComposable:
+        return ShiftSequence((), (), "not-composable")
+    except NoSharpGenerator:
+        return ShiftSequence((), (), "no-sharp-generator")
+    step = partial(compose, pair.base)
     arrows: list[RefArrow] = []
-    labels: list[str] = []
-    current = r
-    reason = None
+    current, reason = r, None
     for _ in range(n):
-        try:
-            current, label = shift_step(pair, current)
-        except NotComposable:
+        if current.src._cod != current.dst._dom:
             reason = "not-composable"
             break
-        except NoSharpGenerator:
-            reason = "no-sharp-generator"
-            break
+        current = shift(step, current.src if sharp is None else sharp, current)
         arrows.append(current)
-        labels.append(label)
-    return ShiftSequence(tuple(arrows), tuple(labels), reason)
+    return ShiftSequence(tuple(arrows), (label,) * len(arrows), reason)
 
 
 def vertical_compose(pair: CategoricalPair, gamma: RefArrow, alpha: RefArrow) -> RefArrow:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from decimal import Decimal
 
 RLE_MIN = 4
 
@@ -62,6 +61,7 @@ def count_text(n: int) -> str:
     try:
         return str(n)
     except ValueError:  # over the interpreter's int/str digit limit
+        from decimal import Decimal  # about 2 ms to import, so loaded only past the limit
         return str(Decimal(n))
 
 
@@ -72,6 +72,7 @@ def read_count(digits: str, token: str, error) -> int:
     try:
         return int(digits)
     except ValueError:  # over the interpreter's int/str digit limit
+        from decimal import Decimal  # about 2 ms to import, so loaded only past the limit
         return int(Decimal(digits))
 
 

@@ -379,6 +379,13 @@ TRACED = {
     "shift": ("#R -> ~#R\ntrace 1. [axiom] R -> ~#\ntrace 2. [shift] #R -> ~#R\n", {"steps": RUSSELL_STEPS}),
     "srt1": ("1. [axiom] R -> ~#\n2. [shift] #R -> ~#R\n"
              "trace 1. [axiom] R -> ~#\ntrace 2. [shift] #R -> ~#R\n", {"steps": RUSSELL_STEPS}),
+    "iterate": ("# -> F\n## -> F#\n### -> F###\n#^4 -> F#^6\n"
+                "trace 1. [axiom] 1_O -> F\ntrace 2. [shift] # -> F\ntrace 3. [shift] ## -> F#\n"
+                "trace 4. [shift] ### -> F###\ntrace 5. [shift] #^4 -> F#^6\n",
+                {"steps": [{"dst_word": dst, "note": "", "rule": rule, "src_word": src}
+                           for rule, src, dst in [("axiom", "1_O", "F"), ("shift", "#", "F"),
+                                                  ("shift", "##", "F#"), ("shift", "###", "F###"),
+                                                  ("shift", "#^4", "F#^6")]]}),
     "smullyan report": (
         "".join(f"{i}. {note}\n" for i, note in enumerate(REPORT_NOTES, 1))
         + "".join(f"trace {i}. [{s['rule']}] ~R~R -> ~P[~R~R]  ({s['note']})\n"
@@ -657,8 +664,9 @@ def test_package_names_resolve_on_first_use():
 
 
 def loaded_modules(tmp_path, code, *argv):
-    """refshift's submodules that `python -c code argv...` has loaded when it ends."""
-    probe = code + "\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('refshift.'))))"
+    """refshift's submodules, and decimal, that `python -c code argv...` has loaded when it ends."""
+    probe = code + ("\nprint(' '.join(sorted(m for m in sys.modules"
+                    " if m.startswith('refshift.') or m == 'decimal')))")
     env = dict(os.environ, PYTHONPATH=str(Path(refshift.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=60).stdout
@@ -683,7 +691,15 @@ def test_a_command_loads_only_its_engine(tmp_path, argv, engines):
     (tmp_path / "tri.json").write_text('{"elements": ["x0"], "z_elements": ["0", "1", "J"], "rows": [["J"]]}')
     probe = "import sys\nfrom refshift.cli import run\nassert run(sys.argv[1:]) == 0"
     loaded = loaded_modules(tmp_path, probe, *argv, "--json")
+    # decimal is absent too: counts within the int/str digit limit never need it
     assert loaded == sorted(f"refshift.{m}" for m in ["cli", "errors", *engines])
+
+
+def test_decimal_is_loaded_only_past_the_int_str_digit_limit(tmp_path):
+    # the commands above load no decimal, which takes about 2 ms to import; a count past it does
+    probe = "import sys\nfrom refshift.cli import run\nassert run(sys.argv[1:]) == 0"
+    loaded = loaded_modules(tmp_path, probe, "godel-sharp", "5x100000", "--json")
+    assert "decimal" in loaded and "refshift.runs" in loaded
 
 
 def test_importing_the_package_loads_no_engine(tmp_path):

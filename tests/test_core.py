@@ -1,17 +1,19 @@
 import itertools
+import json
 import pickle
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from refshift import core
+from refshift import cli, core
 from refshift.core import (
     Category,
     CategoricalPair,
     Generator,
     RefArrow,
     RewriteRule,
+    ShiftSequence,
     Word,
     category_from_digraph,
     compose,
@@ -27,6 +29,7 @@ from refshift.core import (
 from refshift.errors import (
     ChainMismatch,
     DanglingEdge,
+    DomainError,
     EndpointMismatch,
     InvalidDefinition,
     InvalidRule,
@@ -277,6 +280,120 @@ def test_iterate_rejects_nonpositive():
     ident = pair.base.identity("O")
     with pytest.raises(InvalidDefinition, match="^n must be at least 1, got 0$"):
         iterate_shift(pair, RefArrow(ident, ident), 0)
+
+
+def stepwise_oracle(pair, r, n):
+    """One shift_step per shift, NotComposable and NoSharpGenerator read as stop reasons."""
+    if n < 1:
+        raise InvalidDefinition(f"n must be at least 1, got {n}")
+    arrows, labels, reason = [], [], None
+    current = r
+    for _ in range(n):
+        try:
+            current, label = shift_step(pair, current)
+        except NotComposable:
+            reason = "not-composable"
+            break
+        except NoSharpGenerator:
+            reason = "no-sharp-generator"
+            break
+        arrows.append(current)
+        labels.append(label)
+    return ShiftSequence(tuple(arrows), tuple(labels), reason)
+
+
+# X and Y with s: X -> X, t: Y -> Y, f: X -> Y and k: Y -> X; a free pair may lack either sharp
+SHIFT_EDGES = (("s", "X", "X"), ("t", "Y", "Y"), ("f", "X", "Y"), ("k", "Y", "X"))
+# typed rules for the rule-bearing pair, which has both sharps.  s #X => #X s moves every s
+# past every #X, so its steps grow along a sequence and a budget of 0-20 runs out partway
+SHIFT_RULES = (
+    RewriteRule(("s", "#X"), ("#X", "s")),
+    RewriteRule(("#Y", "f"), ("f", "#X")),
+    RewriteRule(("t", "t"), ()),
+    RewriteRule(("k", "f"), ("s",)),
+)
+
+
+def shift_pair(sharps, rules=(), budget=core.DEFAULT_REWRITE_BUDGET, lambda_pair=False):
+    gens = [Generator(*edge) for edge in SHIFT_EDGES]
+    gens += [Generator(f"#{obj}", obj, obj, is_sharp=True) for obj in sorted(sharps)]
+    base = Category(frozenset("XY"), tuple(gens), tuple(rules), rewrite_budget=budget)
+    return CategoricalPair(base, is_lambda_pair=lambda_pair)
+
+
+@st.composite
+def shift_cases(draw):
+    """A pair, a starting arrow (self or not, composable or not) and a shift count."""
+    lambda_pair = draw(st.booleans())
+    if draw(st.booleans()):
+        pair = shift_pair("XY", SHIFT_RULES, draw(st.integers(0, 20)), lambda_pair)
+    else:
+        pair = shift_pair(draw(st.sampled_from(["XY", "X", "Y", ""])), lambda_pair=lambda_pair)
+
+    def word(dom):
+        gens, obj = [], dom  # innermost first
+        for _ in range(draw(st.integers(0, 4))):
+            gens.append(draw(st.sampled_from([g for g in pair.base.generators if g.dom == obj])))
+            obj = gens[-1].cod
+        return Word(reversed(gens), dom, obj)
+
+    src = word(draw(st.sampled_from("XY")))
+    dst = word(draw(st.sampled_from([src.cod, "X", "Y"])))
+    return pair, RefArrow(src, dst), draw(st.integers(1, 8))
+
+
+def _shift_outcome(iterate, pair, r, n):
+    """The sequence, or the type and message of the error iterating raises."""
+    try:
+        return iterate(pair, r, n)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+BUDGET_PAIR = shift_pair("X", SHIFT_RULES[:1], budget=3)
+S_WORD = Word.of(BUDGET_PAIR.base.generator("s"))
+
+
+@settings(max_examples=300)
+@given(shift_cases())
+# the third shift needs 6 rewrite steps under s #X => #X s, past the budget of 3
+@example((BUDGET_PAIR, RefArrow(S_WORD, S_WORD), 5))
+@example((BUDGET_PAIR, RefArrow(S_WORD, S_WORD), 0))
+def test_iterate_matches_stepwise_oracle(case):
+    pair, r, n = case
+    assert _shift_outcome(iterate_shift, pair, r, n) == _shift_outcome(stepwise_oracle, pair, r, n)
+
+
+def test_rewrite_budget_runs_out_partway_through_a_sequence():
+    assert len(iterate_shift(BUDGET_PAIR, RefArrow(S_WORD, S_WORD), 2)) == 2
+    with pytest.raises(RewriteBudgetExceeded, match="budget of 3 steps$"):
+        iterate_shift(BUDGET_PAIR, RefArrow(S_WORD, S_WORD), 3)
+
+
+def _cli_iterate(capsys, tmp_path, text, arrow, n):
+    path = tmp_path / "pair.txt"
+    path.write_text(text)
+    assert cli.run(["iterate", "--category", str(path), "--arrow", arrow, "--n", str(n), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def test_iterate_without_a_sharp_stops_before_the_first_shift(capsys, tmp_path):
+    text = "object O\ngenerator F : O -> O\n"
+    pair = load_pair_text(text)
+    assert iterate_shift(pair, parse_arrow(pair, "F -> F"), 3) == ShiftSequence((), (), "no-sharp-generator")
+    result = _cli_iterate(capsys, tmp_path, text, "F -> F", 3)
+    assert result == {"arrows": [], "rules": [], "stop_reason": "no-sharp-generator"}
+
+
+def test_lambda_pair_falls_back_to_the_sharp_for_a_non_self_source(capsys, tmp_path):
+    # g: X -> O is no self-morphism, so #g uses the sharp at O; then #g ends at O but Fg starts at X
+    text = "object X O\ngenerator g : X -> O\ngenerator F : O -> O\nsharp # : O\nflags lambda\n"
+    pair = load_pair_text(text)
+    seq = iterate_shift(pair, parse_arrow(pair, "g -> F"), 3)
+    assert ([str(a) for a in seq.arrows], seq.rules) == (["#g -> Fg"], ("shift-sharp-fallback",))
+    result = _cli_iterate(capsys, tmp_path, text, "g -> F", 3)
+    assert result == {"arrows": ["#g -> Fg"], "rules": ["shift-sharp-fallback"],
+                      "stop_reason": "not-composable"}
 
 
 # --- reference arrows ---
