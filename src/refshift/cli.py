@@ -17,7 +17,6 @@ import importlib
 import itertools
 import json
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DomainError, InvalidDefinition, InvalidSymbol
@@ -52,11 +51,10 @@ def _read(path: str) -> str:
 
 def _pair(core, args) -> core.CategoricalPair:
     pair = core.load_pair_text(_read(args.category)) if args.category else core.BUILTIN_PAIRS[args.base]()
-    if args.lambda_pair:
-        pair = replace(pair, is_lambda_pair=True)
+    base = pair.base
     if args.fuel is not None:
-        pair = replace(pair, base=replace(pair.base, rewrite_budget=args.fuel))
-    return pair
+        base = core.Category(base.objects, base.generators, base.rules, args.fuel)
+    return core.CategoricalPair(base, pair.arrows, pair.is_lambda_pair or args.lambda_pair)
 
 
 def _load_model(smullyan, path) -> smullyan.MachineModel:

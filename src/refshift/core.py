@@ -16,7 +16,7 @@ equality after normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
 from operator import attrgetter
@@ -34,28 +34,25 @@ from .errors import (
     RewriteBudgetExceeded,
 )
 from .runs import merge_runs, parse, parse_token, render, runs_of
+from .value import Value, setfield
 
 DEFAULT_REWRITE_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Value):
     """A named generating morphism dom -> cod of the base category."""
 
-    name: str
-    dom: str
-    cod: str
-    is_sharp: bool = False
-
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, dom: str, cod: str, is_sharp: bool = False):
+        if not name:
             raise InvalidDefinition("generator name must be nonempty")
-        if any(ch.isspace() for ch in self.name) or "^" in self.name:
-            raise InvalidDefinition(f"generator name {self.name!r} may not contain spaces or '^'")
-        if self.is_sharp and self.dom != self.cod:
-            raise InvalidDefinition(
-                f"sharp generator {self.name} must be a self-morphism, got {self.dom} -> {self.cod}"
-            )
+        if any(ch.isspace() for ch in name) or "^" in name:
+            raise InvalidDefinition(f"generator name {name!r} may not contain spaces or '^'")
+        if is_sharp and dom != cod:
+            raise InvalidDefinition(f"sharp generator {name} must be a self-morphism, got {dom} -> {cod}")
+        setfield(self, "name", name)
+        setfield(self, "dom", dom)
+        setfield(self, "cod", cod)
+        setfield(self, "is_sharp", is_sharp)
 
     def __str__(self):
         return self.name
@@ -178,8 +175,7 @@ def _no_chain(left: Generator, right: Generator):
     )
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Value):
     """Subword rewrite over generator names; "?v" tokens are placeholders.
 
     A placeholder matches exactly one generator and may be repeated (both
@@ -188,19 +184,17 @@ class RewriteRule:
     (which contributes nothing).
     """
 
-    pattern: tuple[str, ...]
-    replacement: tuple[str, ...]
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "pattern", tuple(self.pattern))
-        object.__setattr__(self, "replacement", tuple(self.replacement))
-        if not self.pattern:
+    def __init__(self, pattern: Sequence[str], replacement: Sequence[str], name: str = ""):
+        pattern, replacement = tuple(pattern), tuple(replacement)
+        if not pattern:
             raise InvalidDefinition("rewrite pattern must be nonempty")
-        bound = {t for t in self.pattern if t.startswith("?")}
-        for tok in self.replacement:
+        bound = {t for t in pattern if t.startswith("?")}
+        for tok in replacement:
             if tok.startswith("?") and tok not in bound:
                 raise InvalidDefinition(f"replacement placeholder {tok} is not bound by the pattern")
+        setfield(self, "pattern", pattern)
+        setfield(self, "replacement", replacement)
+        setfield(self, "name", name)
 
     def rewrite(self, segment, cat: "Category"):
         """The replacement tuple for a pattern-long segment, or None if no match/progress."""
@@ -231,32 +225,23 @@ class RewriteRule:
         return f"{' '.join(self.pattern)} => {' '.join(self.replacement) or '1'}"
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(Value):
     """A base category presented by objects, generators, and rewrite rules."""
 
-    objects: frozenset[str]
-    generators: tuple[Generator, ...]
-    rules: tuple[RewriteRule, ...] = ()
-    rewrite_budget: int = DEFAULT_REWRITE_BUDGET
-    # built in __post_init__: name -> its generator, object -> its sharp,
-    # name -> the compiled rules whose pattern may start with it, and
-    # normalize's back-off (longest pattern - 1)
-    _by_name: dict = field(init=False, repr=False, compare=False)
-    _sharps: dict = field(init=False, repr=False, compare=False)
-    _starts: dict = field(init=False, repr=False, compare=False)
-    _reach: int = field(init=False, repr=False, compare=False)
+    # built from the fields: name -> its generator, object -> its sharp, name ->
+    # the compiled rules whose pattern may start with it, and normalize's
+    # back-off (longest pattern - 1)
+    __slots__ = ("_by_name", "_sharps", "_starts", "_reach")
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", frozenset(self.objects))
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        if self.rewrite_budget < 0:
+    def __init__(self, objects: Iterable[str], generators: Iterable[Generator],
+                 rules: Iterable[RewriteRule] = (), rewrite_budget: int = DEFAULT_REWRITE_BUDGET):
+        objects, generators, rules = frozenset(objects), tuple(generators), tuple(rules)
+        if rewrite_budget < 0:
             raise InvalidDefinition("fuel must be non-negative")
         by_name: dict[str, Generator] = {}
         sharps: dict[str, Generator] = {}
-        for g in self.generators:
-            if g.dom not in self.objects or g.cod not in self.objects:
+        for g in generators:
+            if g.dom not in objects or g.cod not in objects:
                 raise InvalidDefinition(f"generator {g.name}: {g.dom} -> {g.cod} uses unknown objects")
             if g.name in by_name:
                 raise InvalidDefinition(f"generator name {g.name!r} is used more than once")
@@ -273,7 +258,7 @@ class Category:
         # makes progress, so it is left out.
         starts: dict[str, list] = {}
         reach = 0
-        for rule in self.rules:
+        for rule in rules:
             # in a replacement "1" is the empty word; in a pattern it is a name like any other
             replacement = [tok for tok in rule.replacement if tok != "1"]
             literals = rule.pattern + tuple(replacement)
@@ -290,10 +275,14 @@ class Category:
             for name in by_name if first.startswith("?") else (first,):
                 starts.setdefault(name, []).append(entry)
             reach = max(reach, len(rule.pattern) - 1)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_sharps", sharps)
-        object.__setattr__(self, "_starts", {name: tuple(found) for name, found in starts.items()})
-        object.__setattr__(self, "_reach", reach)
+        setfield(self, "objects", objects)
+        setfield(self, "generators", generators)
+        setfield(self, "rules", rules)
+        setfield(self, "rewrite_budget", rewrite_budget)
+        setfield(self, "_by_name", by_name)
+        setfield(self, "_sharps", sharps)
+        setfield(self, "_starts", {name: tuple(found) for name, found in starts.items()})
+        setfield(self, "_reach", reach)
 
     def generator(self, name: str) -> Generator:
         found = self._by_name.get(name)
@@ -390,18 +379,18 @@ class Category:
         return self.normalize(u) == self.normalize(v)
 
 
-@dataclass(frozen=True)
-class RefArrow:
+class RefArrow(Value):
     """A reference arrow between two morphisms of one base category."""
 
-    src: Word
-    dst: Word
+    def __init__(self, src: Word, dst: Word):
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
 
     def __str__(self):
         return f"{self.src} -> {self.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the one dataclass left: callers rebuild pairs with dataclasses.replace
 class CategoricalPair:
     """A base category together with reference arrows between its words.
 
@@ -423,21 +412,18 @@ class CategoricalPair:
                     raise InvalidDefinition(f"arrow {arrow} uses generators outside the base category")
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    rule: str
-    arrow: RefArrow
-    note: str = ""
+class DerivationStep(Value):
+    def __init__(self, rule: str, arrow: RefArrow, note: str = ""):
+        setfield(self, "rule", rule)
+        setfield(self, "arrow", arrow)
+        setfield(self, "note", note)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """An audit trail of reference arrows, one named inference per step."""
 
-    steps: tuple[DerivationStep, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, steps: Iterable[DerivationStep]):
+        setfield(self, "steps", tuple(steps))
 
     @property
     def final(self):
@@ -457,13 +443,13 @@ class Derivation:
         }
 
 
-@dataclass(frozen=True)
-class ShiftSequence:
+class ShiftSequence(Value):
     """Arrows produced by iterating the shift, with the reason for an early stop."""
 
-    arrows: tuple[RefArrow, ...]
-    rules: tuple[str, ...]
-    stop_reason: str | None = None
+    def __init__(self, arrows: tuple[RefArrow, ...], rules: tuple[str, ...], stop_reason: str | None = None):
+        setfield(self, "arrows", arrows)
+        setfield(self, "rules", rules)
+        setfield(self, "stop_reason", stop_reason)
 
     def __len__(self):
         return len(self.arrows)

@@ -14,32 +14,32 @@ containing no spaces, like "a((bx)x)", is read one character at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidDefinition, VarNotFree
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class FreeVar:
-    name: str
+class Atom(Value):
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Apply:
-    left: "Term"
-    right: "Term"
+class FreeVar(Value):
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+    def __str__(self):
+        return self.name
+
+
+class Apply(Value):
+    def __init__(self, left: Term, right: Term):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
     def __str__(self):
         return "".join([x if type(x) is str else x.name for x in _tokens(self)])
@@ -70,19 +70,17 @@ class Apply:
 Term = Union[Atom, FreeVar, Apply]
 
 
-@dataclass(frozen=True)
-class ReflexiveDef:
+class ReflexiveDef(Value):
     """A named map: Apply(name, t) rewrites to body with t for the variable."""
 
-    name: str
-    var: str
-    body: Term
-
-    def __post_init__(self):
-        if not contains_var(self.body, self.var):
-            raise VarNotFree(f"variable {self.var!r} does not occur in the body")
-        if self.name in atom_names(self.body):
-            raise InvalidDefinition(f"definition name {self.name!r} occurs in its own body")
+    def __init__(self, name: str, var: str, body: Term):
+        if not contains_var(body, var):
+            raise VarNotFree(f"variable {var!r} does not occur in the body")
+        if name in atom_names(body):
+            raise InvalidDefinition(f"definition name {name!r} occurs in its own body")
+        setfield(self, "name", name)
+        setfield(self, "var", var)
+        setfield(self, "body", body)
 
 
 def _tokens(t: Term) -> list:
@@ -183,11 +181,11 @@ def fixed_point(F: Term, r: Rewriter) -> Term:
     return Apply(g, g)
 
 
-@dataclass(frozen=True)
-class ReduceResult:
-    term: Term
-    steps_used: int
-    exhausted: bool  # a redex remained when the step allowance ran out
+class ReduceResult(Value):
+    def __init__(self, term: Term, steps_used: int, exhausted: bool):
+        setfield(self, "term", term)
+        setfield(self, "steps_used", steps_used)
+        setfield(self, "exhausted", exhausted)  # a redex remained when the step allowance ran out
 
 
 def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:

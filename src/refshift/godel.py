@@ -20,10 +20,8 @@ with compose_morphisms and SHARP: (g -> F) becomes (#g -> Fg).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-from .core import Derivation, RefArrow, shift, shift_derivation
 from .errors import (
     EmptyFormula,
     InvalidAxiom,
@@ -34,6 +32,10 @@ from .errors import (
     NotSrt1Shape,
 )
 from .runs import check_runs, count_text, merge_runs, parse_glued, read_count, render, runs_of
+from .value import Value, setfield
+
+if TYPE_CHECKING:  # core is loaded only to build arrows, so codecs and the sharp skip it
+    from .core import Derivation, RefArrow
 
 ALPHABET = "()~Px|#"
 CHAR_TO_DIGIT = {ch: i + 1 for i, ch in enumerate(ALPHABET)}
@@ -42,18 +44,16 @@ DIGIT_TO_CHAR = {i + 1: ch for i, ch in enumerate(ALPHABET)}
 _MATERIALIZE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class _Runs:
+class _Runs(Value):
     """Maximal (name, count) runs over the alphabet NAMES; a nonempty EMPTY is the error for no runs."""
-
-    runs: tuple
 
     EMPTY = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", check_runs(self.runs, self.NAMES, InvalidSymbol))
-        if self.EMPTY and not self.runs:
+    def __init__(self, runs):
+        runs = check_runs(runs, self.NAMES, InvalidSymbol)
+        if self.EMPTY and not runs:
             raise InvalidSymbol(self.EMPTY)
+        setfield(self, "runs", runs)
 
     @classmethod
     def from_runs(cls, runs):
@@ -241,24 +241,23 @@ def substitute(s: Formula, t: Formula) -> Formula:
 # --- the coding category: formulas, outside numbers, and the sharp operator ---
 
 
-@dataclass(frozen=True)
-class Fml:
-    formula: Formula
+class Fml(Value):
+    def __init__(self, formula: Formula):
+        setfield(self, "formula", formula)
 
     def __str__(self):
         return str(self.formula)
 
 
-@dataclass(frozen=True)
-class Num:
-    number: GodelNumber
+class Num(Value):
+    def __init__(self, number: GodelNumber):
+        setfield(self, "number", number)
 
     def __str__(self):
         return self.number.wire()
 
 
-@dataclass(frozen=True)
-class SharpOp:
+class SharpOp(Value):
     def __str__(self):
         return "#"
 
@@ -266,18 +265,16 @@ class SharpOp:
 SHARP = SharpOp()
 
 
-@dataclass(frozen=True)
-class FormalComposite:
+class FormalComposite(Value):
     """A composition the language leaves unevaluated, kept flat for associativity."""
 
-    parts: tuple["LMorphism", ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) < 2:
+    def __init__(self, parts: Iterable[LMorphism]):
+        parts = tuple(parts)
+        if len(parts) < 2:
             raise InvalidSymbol("a formal composite has at least two factors")
-        if any(isinstance(p, FormalComposite) for p in self.parts):
+        if any(isinstance(p, FormalComposite) for p in parts):
             raise InvalidSymbol("formal composites must be flattened")
+        setfield(self, "parts", parts)
 
     def __str__(self):
         return " o ".join(str(p) for p in self.parts)
@@ -345,14 +342,15 @@ def compose_morphisms(a: LMorphism, b: LMorphism) -> LMorphism:
 # --- reference arrows from numbers to the formulas they code ---
 
 
-@dataclass(frozen=True)
-class GodelPair:
+class GodelPair(Value):
     """Finite axiom arrows (code -> formula), closed under the shift."""
 
-    axioms: tuple[RefArrow, ...]
+    def __init__(self, axioms: tuple[RefArrow, ...]):
+        setfield(self, "axioms", axioms)
 
     def indicative_shift(self, arrow: RefArrow) -> RefArrow:
         """(g -> F) becomes (sharp g -> F with g's numeral substituted)."""
+        from .core import shift
         if not isinstance(arrow.src, Num) or not isinstance(arrow.dst, Fml):
             raise NotComposable("the shift applies to (number -> formula) arrows")
         if not arrow.src.number.has_five:
@@ -361,6 +359,7 @@ class GodelPair:
 
     def srt1(self, arrow: RefArrow) -> Derivation:
         """Shift an axiom whose formula mentions #x, yielding self-description."""
+        from .core import shift_derivation
         if not isinstance(arrow.dst, Fml):
             raise NotSrt1Shape("expected a formula target")
         runs = arrow.dst.formula.runs
@@ -371,6 +370,7 @@ class GodelPair:
 
 def reference_pair(axioms: Iterable[tuple[GodelNumber, Formula]]) -> GodelPair:
     """Validate axiom arrows (number must code the formula) and build the pair."""
+    from .core import RefArrow
     checked = []
     for g, f in axioms:
         if encode(f) != g:

@@ -15,19 +15,18 @@ only with value J on the diagonal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InvalidDefinition, NotSurjective
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class FinSet:
-    elements: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if len(set(self.elements)) != len(self.elements):
+class FinSet(Value):
+    def __init__(self, elements: Iterable[str]):
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
             raise InvalidDefinition("finite set labels must be distinct")
+        setfield(self, "elements", elements)
 
     def index(self, label: str) -> int:
         try:
@@ -42,22 +41,20 @@ class FinSet:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class FinMap:
+class FinMap(Value):
     """A total map between finite sets, tabulated in domain order."""
 
-    dom: FinSet
-    cod: FinSet
-    table: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != len(self.dom):
+    def __init__(self, dom: FinSet, cod: FinSet, table: Iterable[str]):
+        table = tuple(table)
+        if len(table) != len(dom):
             raise InvalidDefinition("table must assign a value to every domain element")
-        cod = set(self.cod.elements)
-        for v in self.table:
-            if v not in cod:
+        values = set(cod.elements)
+        for v in table:
+            if v not in values:
                 raise InvalidDefinition(f"value {v!r} is outside the codomain")
+        setfield(self, "dom", dom)
+        setfield(self, "cod", cod)
+        setfield(self, "table", table)
 
     @classmethod
     def from_dict(cls, dom: FinSet, cod: FinSet, mapping: dict) -> "FinMap":
@@ -74,24 +71,22 @@ class FinMap:
         return self.table[self.dom.index(x)]
 
 
-@dataclass(frozen=True)
-class CurriedMap:
+class CurriedMap(Value):
     """F: X -> [X, Z], stored as one row of Z-values per element of X."""
 
-    dom: FinSet
-    cod_base: FinSet
-    rows: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if len(self.rows) != len(self.dom):
+    def __init__(self, dom: FinSet, cod_base: FinSet, rows: Iterable[Iterable[str]]):
+        rows = tuple(tuple(r) for r in rows)
+        if len(rows) != len(dom):
             raise InvalidDefinition("one row per domain element required")
-        cod = set(self.cod_base.elements)
-        for row in self.rows:
-            if len(row) != len(self.dom):
+        cod = set(cod_base.elements)
+        for row in rows:
+            if len(row) != len(dom):
                 raise InvalidDefinition("each row must cover the whole domain")
             if any(v not in cod for v in row):
                 raise InvalidDefinition("row value outside the base codomain")
+        setfield(self, "dom", dom)
+        setfield(self, "cod_base", cod_base)
+        setfield(self, "rows", rows)
 
     def row(self, x: str) -> FinMap:
         return FinMap(self.dom, self.cod_base, self.rows[self.dom.index(x)])
@@ -138,12 +133,12 @@ def find_representation(F: CurriedMap, C: FinMap):
     return reps[0] if reps else None
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(Value):
     """The diagonal C(x) = alpha(F(x)(x)) of a table and every element whose row is C."""
 
-    diagonal: FinMap
-    representations: tuple[str, ...]
+    def __init__(self, diagonal: FinMap, representations: tuple[str, ...]):
+        setfield(self, "diagonal", diagonal)
+        setfield(self, "representations", representations)
 
     @property
     def witnessed(self) -> bool:

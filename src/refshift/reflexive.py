@@ -11,29 +11,28 @@ objects, enumerable by word length.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Category, Generator, Word, concat
 from .errors import DanglingArc, EnumerationCapExceeded, InvalidDefinition
+from .value import Value, setfield
 
 ENUMERATION_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class ArcTable:
+class ArcTable(Value):
     """Rows (arc, dom, cod); every endpoint must itself be an arc."""
 
-    rows: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        names = [name for name, _, _ in self.rows]
+    def __init__(self, rows: Iterable[tuple[str, str, str]]):
+        rows = tuple(tuple(r) for r in rows)
+        names = [name for name, _, _ in rows]
         if len(set(names)) != len(names):
             raise InvalidDefinition("arc names must be distinct")
         arcs = set(names)
-        for name, dom, cod in self.rows:
+        for name, dom, cod in rows:
             if dom not in arcs or cod not in arcs:
                 raise DanglingArc(f"arc {name}: {dom} -> {cod} references a missing arc")
+        setfield(self, "rows", rows)
 
     @property
     def arcs(self) -> tuple[str, ...]:
@@ -61,11 +60,11 @@ def parse_arc_table(text: str) -> ArcTable:
     return ArcTable(tuple(rows))
 
 
-@dataclass(frozen=True)
-class DiagramCategory:
+class DiagramCategory(Value):
     """The category induced by an arc table: objects are the arcs themselves."""
 
-    category: Category
+    def __init__(self, category: Category):
+        setfield(self, "category", category)
 
 
 def build(table: ArcTable) -> DiagramCategory:

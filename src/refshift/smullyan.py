@@ -10,9 +10,10 @@ unprintability, so a machine that only prints truths can never print it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Category, CategoricalPair, Derivation, DerivationStep, Generator, RefArrow, Word
+from .value import Value, setfield
 
 ALPHABET = "~PR[]"
 
@@ -46,20 +47,17 @@ def word(s: str) -> Word:
     return _MachineWord(map(_CATEGORY.generator, s), _OBJECT, _OBJECT)
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # one of "P", "~P", "R", "~R"
-    body: str  # the remainder X, possibly empty
+class Classification(Value):
+    def __init__(self, kind: str, body: str):
+        setfield(self, "kind", kind)  # one of "P", "~P", "R", "~R"
+        setfield(self, "body", body)  # the remainder X, possibly empty
 
 
-@dataclass(frozen=True)
-class MachineModel:
+class MachineModel(Value):
     """A machine identified with the finite set of strings it prints."""
 
-    printable: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "printable", frozenset(self.printable))
+    def __init__(self, printable: Iterable[str]):
+        setfield(self, "printable", frozenset(printable))
 
 
 _KINDS = frozenset({"P", "~P", "R", "~R"})

@@ -664,26 +664,29 @@ def test_package_names_resolve_on_first_use():
 
 
 def loaded_modules(tmp_path, code, *argv):
-    """refshift's submodules, and decimal, that `python -c code argv...` has loaded when it ends."""
+    """refshift's submodules, decimal and dataclasses that `python -c code argv...` has loaded at its end."""
     probe = code + ("\nprint(' '.join(sorted(m for m in sys.modules"
-                    " if m.startswith('refshift.') or m == 'decimal')))")
+                    " if m.startswith('refshift.') or m in ('decimal', 'dataclasses'))))")
     env = dict(os.environ, PYTHONPATH=str(Path(refshift.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=60).stdout
     return out.splitlines()[-1].split()
 
 
+# core keeps one dataclass (CategoricalPair), so dataclasses comes with core and only with it
 @pytest.mark.parametrize("argv,engines", [
-    (["shift", "1_O -> 1_O"], ["core", "runs"]),
-    (["godel-encode", "~P(x)"], ["core", "godel", "runs"]),
-    (["smullyan", "classify", "~R~R"], ["core", "runs", "smullyan"]),
-    (["lawvere", "--table", "bool.json"], ["lawvere"]),
-    (["threeval", "--table", "tri.json"], ["lawvere"]),
-    (["lambda", "define", "q x = x"], ["fixpoint"]),
-    (["lambda", "fixpoint", "F", "--steps", "2"], ["fixpoint"]),
-    (["lambda", "reduce", "(q c)", "--define", "q x = a ((b x) x)"], ["fixpoint"]),
-    (["reflexive", "build", "--builtin", "link"], ["core", "reflexive", "runs"]),
+    (["shift", "1_O -> 1_O"], ["core", "runs", "value", "dataclasses"]),
+    (["godel-encode", "~P(x)"], ["godel", "runs", "value"]),
+    (["smullyan", "classify", "~R~R"], ["core", "runs", "smullyan", "value", "dataclasses"]),
+    (["lawvere", "--table", "bool.json"], ["lawvere", "value"]),
+    (["threeval", "--table", "tri.json"], ["lawvere", "value"]),
+    (["lambda", "define", "q x = x"], ["fixpoint", "value"]),
+    (["lambda", "fixpoint", "F", "--steps", "2"], ["fixpoint", "value"]),
+    (["lambda", "reduce", "(q c)", "--define", "q x = a ((b x) x)"], ["fixpoint", "value"]),
+    (["reflexive", "build", "--builtin", "link"], ["core", "reflexive", "runs", "value", "dataclasses"]),
     (["--help"], []),
+    (["godel-sharp", "34152"], ["godel", "runs", "value"]),
+    (["self-refuter"], ["godel", "runs", "value"]),
 ])
 def test_a_command_loads_only_its_engine(tmp_path, argv, engines):
     (tmp_path / "bool.json").write_text('{"elements": ["a", "b"], "z_elements": ["0", "1"], '
@@ -692,7 +695,8 @@ def test_a_command_loads_only_its_engine(tmp_path, argv, engines):
     probe = "import sys\nfrom refshift.cli import run\nassert run(sys.argv[1:]) == 0"
     loaded = loaded_modules(tmp_path, probe, *argv, "--json")
     # decimal is absent too: counts within the int/str digit limit never need it
-    assert loaded == sorted(f"refshift.{m}" for m in ["cli", "errors", *engines])
+    expected = [m if m == "dataclasses" else f"refshift.{m}" for m in ["cli", "errors", *engines]]
+    assert loaded == sorted(expected)
 
 
 def test_decimal_is_loaded_only_past_the_int_str_digit_limit(tmp_path):
