@@ -18,8 +18,6 @@ from its module on first use (PEP 562), so ``refshift.Word`` loads core
 and ``from refshift import lawvere`` loads lawvere alone.
 """
 
-import importlib
-
 __all__ = [
     "BUILTIN_PAIRS",
     "CategoricalPair",
@@ -34,8 +32,6 @@ __all__ = [
     "Word",
     "category_from_digraph",
     "compose",
-    "indicative_shift",
-    "is_composable_reference",
     "iterate_shift",
     "load_pair_text",
     "parse_arrow",
@@ -49,8 +45,8 @@ __all__ = [
 def __getattr__(name):
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(".errors" if name == "DomainError" else ".core", __name__)
-    return getattr(module, name)
+    module = "errors" if name == "DomainError" else "core"
+    return getattr(__import__(f"{__name__}.{module}", fromlist=["*"]), name)
 
 
 def __dir__():

@@ -13,7 +13,6 @@ or ``usage``); with --json every outcome is one envelope.
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import json
 import sys
@@ -107,7 +106,7 @@ def _parse_definition(fixpoint, spec: str) -> tuple[str, str, fixpoint.Term]:
         raise InvalidDefinition(f"definition {spec!r} needs the form 'name var = body'")
     parts = head.split()
     if len(parts) != 2:
-        raise InvalidDefinition(f"definition head {head!r} needs exactly 'name var'")
+        raise InvalidDefinition(f"definition head {head.strip()!r} needs exactly 'name var'")
     name, var = parts
     return name, var, fixpoint.parse_term(body.strip(), var=var)
 
@@ -183,7 +182,7 @@ def _iterate(core, args):
         ident = pair.base.identity(*pair.base.objects)
         arrow = core.RefArrow(ident, ident)
     else:
-        raise InvalidDefinition("--arrow is required when the base has several objects")
+        raise InvalidDefinition("--arrow is required unless the base has exactly one object")
     seq = core.iterate_shift(pair, arrow, args.n)
     arrows = [str(a) for a in seq.arrows]
     stop = [f"stopped early: {seq.stop_reason}"] if seq.stop_reason else []
@@ -285,10 +284,7 @@ def _fixpoint(fixpoint, args):
     definition = {"name": current.left.name, "var": d.var, "body": str(d.body)}
     stages = [str(current)]
     for _ in range(args.steps):
-        step = fixpoint.reduce(current, rewriter, 1)
-        if step.steps_used == 0:
-            break
-        current = step.term
+        current = fixpoint.reduce(current, rewriter, 1).term
         stages.append(str(current))
     lines = ["{name} {var} = {body}".format(**definition)] + stages
     return {"definition": definition, "fixpoint": stages[0], "stages": stages}, lines
@@ -436,7 +432,8 @@ def run(argv=None) -> int:
         missing = [n for n, _ in row.args if n[0] != "-" and getattr(args, n) is None]
         if missing:
             args.usage_error(f"the following arguments are required: {', '.join(missing)}")
-        result, lines, *trace = row.run(importlib.import_module(f"{__package__}.{row.engine}"), args)
+        # __import__, unlike importlib.import_module, shows in python -X importtime
+        result, lines, *trace = row.run(__import__(f"{__package__}.{row.engine}", fromlist=["*"]), args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except (DomainError, OSError) as exc:

@@ -16,7 +16,7 @@ equality after normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import attrgetter
@@ -67,7 +67,7 @@ class Word:
     required when there are no generators.  Words are immutable.
     """
 
-    __slots__ = ("_runs", "_dom", "_cod", "_len", "_hash")
+    __slots__ = ("_runs", "_dom", "_cod", "_len")
 
     runs = property(attrgetter("_runs"), doc="The maximal (generator, count) runs, outermost first.")
     dom = property(attrgetter("_dom"))
@@ -75,13 +75,13 @@ class Word:
 
     def __init__(self, gens: Iterable[Generator], dom: str, cod: str):
         runs, length = _chained(zip(gens, repeat(1)), dom, cod)
-        self._runs, self._dom, self._cod, self._len, self._hash = runs, dom, cod, length, None
+        self._runs, self._dom, self._cod, self._len = runs, dom, cod, length
 
     @classmethod
     def _trusted(cls, runs: tuple, dom: str, cod: str, length: int) -> "Word":
         """A word of runs the caller knows to be maximal and chained from dom to cod."""
         word = object.__new__(cls)
-        word._runs, word._dom, word._cod, word._len, word._hash = runs, dom, cod, length, None
+        word._runs, word._dom, word._cod, word._len = runs, dom, cod, length
         return word
 
     @classmethod
@@ -91,19 +91,11 @@ class Word:
         return cls._trusted(runs, dom, cod, length)
 
     @classmethod
-    def identity(cls, obj: str) -> "Word":
-        return cls((), obj, obj)
-
-    @classmethod
     def from_generators(cls, gens: Iterable[Generator]) -> "Word":
         gens = tuple(gens)
         if not gens:
-            raise InvalidDefinition("from_generators needs at least one generator; use identity(obj)")
+            raise InvalidDefinition("from_generators needs at least one generator; use Category.identity")
         return cls(gens, gens[-1].dom, gens[0].cod)
-
-    @classmethod
-    def of(cls, *gens: Generator) -> "Word":
-        return cls.from_generators(gens)
 
     @property
     def gens(self) -> tuple[Generator, ...]:
@@ -126,9 +118,7 @@ class Word:
         return self._runs == other._runs and self._dom == other._dom and self._cod == other._cod
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._runs, self._dom, self._cod))
-        return self._hash
+        return hash((self._runs, self._dom, self._cod))
 
     def __repr__(self):
         return f"Word(runs={self.runs!r}, dom={self.dom!r}, cod={self.cod!r})"
@@ -184,7 +174,7 @@ class RewriteRule(Value):
     (which contributes nothing).
     """
 
-    def __init__(self, pattern: Sequence[str], replacement: Sequence[str], name: str = ""):
+    def __init__(self, pattern: Sequence[str], replacement: Sequence[str]):
         pattern, replacement = tuple(pattern), tuple(replacement)
         if not pattern:
             raise InvalidDefinition("rewrite pattern must be nonempty")
@@ -194,7 +184,6 @@ class RewriteRule(Value):
                 raise InvalidDefinition(f"replacement placeholder {tok} is not bound by the pattern")
         setfield(self, "pattern", pattern)
         setfield(self, "replacement", replacement)
-        setfield(self, "name", name)
 
     def rewrite(self, segment, cat: "Category"):
         """The replacement tuple for a pattern-long segment, or None if no match/progress."""
@@ -299,12 +288,10 @@ class Category(Value):
     def identity(self, obj: str) -> Word:
         if obj not in self.objects:
             raise InvalidDefinition(f"unknown object {obj!r}")
-        return Word.identity(obj)
+        return Word((), obj, obj)
 
     def word(self, spec) -> Word:
         """Build a Word from a string ("F # g", "#^5", "RR", "1_O") or a name sequence."""
-        if isinstance(spec, Word):
-            return spec
         if isinstance(spec, str):
             s = spec.strip()
             if s.startswith("1_"):
@@ -390,7 +377,7 @@ class RefArrow(Value):
         return f"{self.src} -> {self.dst}"
 
 
-@dataclass(frozen=True)  # the one dataclass left: callers rebuild pairs with dataclasses.replace
+@dataclass(frozen=True)  # the one dataclass left: perfbench/wl_shift.py copies a pair as a dataclass
 class CategoricalPair:
     """A base category together with reference arrows between its words.
 
@@ -483,11 +470,6 @@ def compose(cat: Category, f: Word, g: Word) -> Word:
     return cat.normalize(concat(f, g))
 
 
-def is_composable_reference(pair: CategoricalPair, r: RefArrow) -> bool:
-    """True when the composition dst . src is defined in the base category."""
-    return r.src.cod == r.dst.dom
-
-
 def shift(compose, sharp, r: RefArrow) -> RefArrow:
     """The indicative shift (a -> b) => (#a -> ba) of a composable reference.
 
@@ -512,7 +494,7 @@ def _shift_plan(pair: CategoricalPair, r: RefArrow) -> tuple[Word | None, str]:
     shift keeps a's endpoints, since #a and aa both run from a's domain to
     its codomain, so the plan of r holds for every arrow shifted from it.
     """
-    if not is_composable_reference(pair, r):
+    if r.src.cod != r.dst.dom:
         raise NotComposable(
             f"{r} is not a composable reference: codomain {r.src.cod} != domain {r.dst.dom}"
         )
@@ -535,11 +517,6 @@ def shift_step(pair: CategoricalPair, r: RefArrow) -> tuple[RefArrow, str]:
     """
     sharp, label = _shift_plan(pair, r)
     return shift(partial(compose, pair.base), r.src if sharp is None else sharp, r), label
-
-
-def indicative_shift(pair: CategoricalPair, r: RefArrow) -> RefArrow:
-    """Send a composable reference (a -> b) to (#a -> ba)."""
-    return shift_step(pair, r)[0]
 
 
 def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
@@ -693,7 +670,7 @@ def load_pair_text(text: str) -> CategoricalPair:
                 arrow_specs.append(rest)
             elif head == "flags":
                 for flag in rest.split():
-                    if flag in ("lambda", "lambda-pair"):
+                    if flag == "lambda":
                         lambda_flag = True
                     else:
                         raise InvalidDefinition(f"unknown flag {flag!r}")
@@ -704,6 +681,5 @@ def load_pair_text(text: str) -> CategoricalPair:
 
     rules = tuple(RewriteRule(p, r) for p, r in rule_specs)
     cat = Category(frozenset(objects), tuple(gens), rules)
-    pair = CategoricalPair(cat, is_lambda_pair=lambda_flag)
-    arrows = tuple(parse_arrow(pair, spec) for spec in arrow_specs)
-    return replace(pair, arrows=arrows)
+    free = CategoricalPair(cat)  # parse_arrow reads its base alone
+    return CategoricalPair(cat, tuple(parse_arrow(free, spec) for spec in arrow_specs), lambda_flag)

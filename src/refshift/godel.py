@@ -80,10 +80,6 @@ class Formula(_Runs):
         return any(ch == "x" for ch, _ in self.runs)
 
     @property
-    def var_count(self) -> int:
-        return sum(count for ch, count in self.runs if ch == "x")
-
-    @property
     def is_numeral(self) -> bool:
         return len(self.runs) == 1 and self.runs[0][0] == "|"
 
@@ -348,7 +344,7 @@ class GodelPair(Value):
     def __init__(self, axioms: tuple[RefArrow, ...]):
         setfield(self, "axioms", axioms)
 
-    def indicative_shift(self, arrow: RefArrow) -> RefArrow:
+    def shift(self, arrow: RefArrow) -> RefArrow:
         """(g -> F) becomes (sharp g -> F with g's numeral substituted)."""
         from .core import shift
         if not isinstance(arrow.src, Num) or not isinstance(arrow.dst, Fml):
@@ -365,7 +361,7 @@ class GodelPair(Value):
         runs = arrow.dst.formula.runs
         if not any(a == "#" and b == "x" for (a, _), (b, _) in zip(runs, runs[1:])):
             raise NotSrt1Shape(f"{arrow.dst} does not apply # to its variable")
-        return shift_derivation(arrow, self.indicative_shift(arrow), "shift")
+        return shift_derivation(arrow, self.shift(arrow), "shift")
 
 
 def reference_pair(axioms: Iterable[tuple[GodelNumber, Formula]]) -> GodelPair:

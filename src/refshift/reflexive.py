@@ -76,8 +76,6 @@ def build(table: ArcTable) -> DiagramCategory:
 def _core_category(cat) -> Category:
     if isinstance(cat, DiagramCategory):
         return cat.category
-    if isinstance(cat, Category):
-        return cat
     return cat.base  # a CategoricalPair
 
 
@@ -101,7 +99,7 @@ def enumerate_composites(cat, max_len: int) -> set[Word]:
     if max_len < 1:
         raise InvalidDefinition("max_len must be at least 1")
     core = _core_category(cat)
-    singles = [Word.of(g) for g in core.generators if not g.is_sharp]
+    singles = [Word.from_generators((g,)) for g in core.generators if not g.is_sharp]
     into = Counter(g.cod for g in singles)  # object -> generators that end there
     frontier = singles
     words: set[Word] = set(frontier)

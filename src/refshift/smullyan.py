@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Category, CategoricalPair, Derivation, DerivationStep, Generator, RefArrow, Word
+from .core import Category, Derivation, DerivationStep, Generator, RefArrow, Word
 from .value import Value, setfield
 
 ALPHABET = "~PR[]"
@@ -27,10 +27,6 @@ _CATEGORY = Category(
 def smullyan_category() -> Category:
     """One object; one generator per alphabet symbol; composition is concatenation."""
     return _CATEGORY
-
-
-def smullyan_pair() -> CategoricalPair:
-    return CategoricalPair(_CATEGORY)
 
 
 class _MachineWord(Word):

@@ -644,6 +644,66 @@ def test_lambda_steps_must_not_be_negative(capsys, action):
     assert code == 0 and payload["status"] == "ok"
 
 
+PAIR_HEAD = "object O\nsharp # : O\n"
+SHIFT_PAIR_FILE = ["shift", "1_O -> 1_O", "--category", "FILE"]
+ALPHA = ["lawvere", "--table", "FILE", "--alpha"]
+
+
+def _table(z, rows):
+    return json.dumps({"elements": ["a", "b"], "z_elements": z, "rows": rows})
+
+
+# argv (FILE is a file holding text), text, then the error code and message; "ok" for a success
+FAILURES = {
+    "table-without-rows": (["lawvere", "--table", "FILE"], '{"elements": ["a"], "z_elements": ["0"]}',
+                           "invalid-definition", "table file needs elements, z_elements, rows"),
+    "negation-over-pq": (ALPHA + ["negation"], _table(["p", "q"], [["p", "q"], ["q", "p"]]),
+                         "invalid-definition", "named negation exists only for {0,1} and {0,1,J}"),
+    "negation-over-01J": (ALPHA + ["negation"], _table(["0", "1", "J"], [["J", "J"], ["J", "J"]]),
+                          "ok", None),
+    "alpha-entry-without-colon": (ALPHA + ["p"], _table(["0", "1"], [["0", "1"], ["1", "0"]]),
+                                  "invalid-definition", "bad alpha entry 'p'; expected src:dst"),
+    "definition-without-var": (["lambda", "define", "q = x"], "",
+                               "invalid-definition", "definition head 'q' needs exactly 'name var'"),
+    "definition-var-not-free": (["lambda", "define", "q x = a"], "",
+                                "var-not-free", "variable 'x' does not occur in the body"),
+    "definition-repeated": (["lambda", "reduce", "q c", "--define", "q x = x", "--define", "q y = y"], "",
+                            "invalid-definition", "'q' is already defined"),
+    "empty-parentheses": (["lambda", "reduce", "()"], "", "invalid-definition", "unexpected ')' in term"),
+    "generator-name-with-caret": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator a^b : O -> O\n",
+                                  "invalid-definition", "generator name 'a^b' may not contain spaces or '^'"),
+    "generator-unknown-object": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator a : O -> Q\n",
+                                 "invalid-definition", "generator a: O -> Q uses unknown objects"),
+    "two-sharps": (SHIFT_PAIR_FILE, PAIR_HEAD + "sharp % : O\n",
+                   "invalid-definition", "object O has more than one sharp generator"),
+    "rule-empty-pattern": (SHIFT_PAIR_FILE, PAIR_HEAD + "rule =>\n",
+                           "invalid-definition", "rewrite pattern must be nonempty"),
+    "rule-without-arrow": (SHIFT_PAIR_FILE, PAIR_HEAD + "rule\n",
+                           "invalid-definition", "line 3: cannot parse 'rule'"),
+    "flag-lambda-pair": (SHIFT_PAIR_FILE, PAIR_HEAD + "flags lambda-pair\n",
+                         "invalid-definition", "unknown flag 'lambda-pair'"),
+    "iterate-without-objects": (["iterate", "--n", "1", "--category", "FILE"], "; no objects\n",
+                                "invalid-definition", "--arrow is required unless the base has exactly one object"),
+    "unknown-generator": (["shift", "x -> 1_O", "--base", "simplest"], "",
+                          "invalid-definition", "unknown generator 'x'"),
+    "unknown-object": (["shift", "1_Q -> 1_O", "--base", "simplest"], "",
+                       "invalid-definition", "unknown object 'Q'"),
+}
+
+
+@pytest.mark.parametrize("key", list(FAILURES))
+def test_each_reachable_failure_is_one_typed_envelope(capsys, tmp_path, key):
+    argv, text, code, message = FAILURES[key]
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    if code == "ok":
+        got, payload, err = invoke_json(capsys, *argv)
+        assert (got, err, payload["status"]) == (0, "", "ok")
+    else:
+        assert assert_error(capsys, argv, code, 1) == message
+
+
 # --- a command imports only the engine it runs ---
 
 
@@ -708,3 +768,11 @@ def test_decimal_is_loaded_only_past_the_int_str_digit_limit(tmp_path):
 
 def test_importing_the_package_loads_no_engine(tmp_path):
     assert loaded_modules(tmp_path, "import sys, refshift") == []
+
+
+def test_the_engine_import_shows_in_the_import_time_log(tmp_path):
+    # -X importtime logs what goes through __import__, not importlib.import_module
+    env = dict(os.environ, PYTHONPATH=str(Path(refshift.__file__).parents[1]))
+    err = subprocess.run([sys.executable, "-X", "importtime", "-m", "refshift", "shift", "1_O -> 1_O"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60).stderr
+    assert "refshift.core" in {line.rpartition("|")[2].strip() for line in err.splitlines()}

@@ -17,8 +17,6 @@ from refshift.core import (
     Word,
     category_from_digraph,
     compose,
-    indicative_shift,
-    is_composable_reference,
     iterate_shift,
     load_pair_text,
     parse_arrow,
@@ -46,10 +44,8 @@ def two_object_pair():
 
 
 def free_pair(names="ab", lambda_pair=False):
-    pair = category_from_digraph(["O"], [(n, "O", "O") for n in names])
-    from dataclasses import replace
-
-    return replace(pair, is_lambda_pair=lambda_pair)
+    base = category_from_digraph(["O"], [(n, "O", "O") for n in names]).base
+    return CategoricalPair(base, is_lambda_pair=lambda_pair)
 
 
 # --- words and composition ---
@@ -59,7 +55,7 @@ def test_compose_concatenates():
     pair = two_object_pair()
     cat = pair.base
     F, g = cat.generator("F"), cat.generator("g")
-    word = compose(cat, Word.of(F), Word.of(g))
+    word = compose(cat, Word.from_generators((F,)), Word.from_generators((g,)))
     assert word.gens == (F, g)
     assert word.dom == "X" and word.cod == "Y"
 
@@ -67,7 +63,7 @@ def test_compose_concatenates():
 def test_identity_laws():
     pair = two_object_pair()
     cat = pair.base
-    g = Word.of(cat.generator("g"))
+    g = cat.word("g")
     assert compose(cat, cat.identity("X"), g) == g
     assert compose(cat, g, cat.identity("X")) == g
 
@@ -76,7 +72,7 @@ def test_compose_chain_mismatch_stops_sequence():
     # g: Z -> X then F: X -> Y composes once; composing Fg with g again fails
     pair = category_from_digraph(["Z", "X", "Y"], [("g", "Z", "X"), ("F", "X", "Y")])
     cat = pair.base
-    F, g = Word.of(cat.generator("F")), Word.of(cat.generator("g"))
+    F, g = cat.word("F"), cat.word("g")
     Fg = compose(cat, F, g)
     assert (Fg.dom, Fg.cod) == ("Z", "Y")
     with pytest.raises(ChainMismatch):
@@ -99,7 +95,7 @@ def test_word_str_run_length():
     assert str(Word.from_generators((sharp,) * 6)) == "#^6"
     assert str(Word.from_generators((a, a))) == "aa"
     assert str(Word.from_generators((sharp, sharp, sharp))) == "###"
-    assert str(Word.identity("O")) == "1_O"
+    assert str(Word((), "O", "O")) == "1_O"
     long_name = Generator("#Z", "O", "O")
     assert str(Word.from_generators((long_name, a))) == "#Z a"
 
@@ -107,22 +103,23 @@ def test_word_str_run_length():
 # --- composable references and the shift ---
 
 
-def test_is_composable_reference():
+def test_shift_applies_exactly_to_composable_references():
     pair = two_object_pair()
     cat = pair.base
-    g, F = Word.of(cat.generator("g")), Word.of(cat.generator("F"))
-    assert is_composable_reference(pair, RefArrow(g, F))  # cod g = dom F = X
-    assert not is_composable_reference(pair, RefArrow(F, F))  # F: X -> Y not self
-    empty = RefArrow(Word.identity("X"), Word.identity("X"))
-    assert is_composable_reference(pair, empty)
+    g, F = cat.word("g"), cat.word("F")
+    assert str(shift_step(pair, RefArrow(g, F))[0]) == "#X g -> Fg"  # cod g = dom F = X
+    with pytest.raises(NotComposable):
+        shift_step(pair, RefArrow(F, F))  # F: X -> Y not self
+    empty = RefArrow(cat.identity("X"), cat.identity("X"))
+    assert str(shift_step(pair, empty)[0]) == "#X -> 1_X"
 
 
 def test_shift_simplest_first_step():
     pair = core.simplest_pair()
     ident = pair.base.identity("O")
-    shifted = indicative_shift(pair, RefArrow(ident, ident))
+    shifted = shift_step(pair, RefArrow(ident, ident))[0]
     assert str(shifted) == "# -> 1_O"
-    assert shifted.src == Word.of(pair.base.sharp_at("O"))
+    assert shifted.src == Word.from_generators((pair.base.sharp_at("O"),))
     assert shifted.dst == ident
 
 
@@ -132,8 +129,8 @@ def test_shift_soundness_exact_words():
     cat = pair.base
     sharp = cat.sharp_at("O")
     a, b = cat.generator("a"), cat.generator("b")
-    r = RefArrow(Word.of(a, b), Word.of(b))
-    shifted = indicative_shift(pair, r)
+    r = RefArrow(Word.from_generators((a, b)), Word.from_generators((b,)))
+    shifted = shift_step(pair, r)[0]
     assert shifted.src.gens == (sharp, a, b)
     assert shifted.dst.gens == (b, a, b)
 
@@ -141,32 +138,32 @@ def test_shift_soundness_exact_words():
 def test_shift_requires_composability():
     pair = two_object_pair()
     cat = pair.base
-    F = Word.of(cat.generator("F"))
+    F = cat.word("F")
     with pytest.raises(NotComposable):
-        indicative_shift(pair, RefArrow(F, F))
+        shift_step(pair, RefArrow(F, F))
 
 
 def test_shift_requires_sharp():
     cat = Category(frozenset({"O"}), (Generator("a", "O", "O"),))
     pair = CategoricalPair(cat)
-    a = Word.of(cat.generator("a"))
+    a = cat.word("a")
     with pytest.raises(NoSharpGenerator):
-        indicative_shift(pair, RefArrow(a, a))
+        shift_step(pair, RefArrow(a, a))
 
 
 def test_shift_of_identity_reference_doubles():
     # next-simplest setting: shifting (F -> F) gives #F -> FF
     pair = core.next_simplest_pair()
-    F = Word.of(pair.base.generator("F"))
-    shifted = indicative_shift(pair, RefArrow(F, F))
+    F = pair.base.word("F")
+    shifted = shift_step(pair, RefArrow(F, F))[0]
     assert str(shifted) == "#F -> FF"
 
 
 def test_lambda_pair_shift():
     pair = free_pair(names="aF", lambda_pair=True)
     cat = pair.base
-    a, F = Word.of(cat.generator("a")), Word.of(cat.generator("F"))
-    shifted = indicative_shift(pair, RefArrow(a, F))
+    a, F = cat.word("a"), cat.word("F")
+    shifted = shift_step(pair, RefArrow(a, F))[0]
     assert shifted.src.gens == a.gens + a.gens
     assert shifted.dst.gens == F.gens + a.gens
 
@@ -174,8 +171,8 @@ def test_lambda_pair_shift():
 def test_lambda_pair_sharp_self_reference():
     # shifting the identity reference on # itself gives ## -> ##
     pair = free_pair(names="F", lambda_pair=True)
-    sharp = Word.of(pair.base.sharp_at("O"))
-    shifted = indicative_shift(pair, RefArrow(sharp, sharp))
+    sharp = Word.from_generators((pair.base.sharp_at("O"),))
+    shifted = shift_step(pair, RefArrow(sharp, sharp))[0]
     assert shifted == RefArrow(
         Word.from_generators(sharp.gens * 2), Word.from_generators(sharp.gens * 2)
     )
@@ -188,15 +185,15 @@ def test_srt1_shape_and_conclusion():
     pair = free_pair(names="gF")
     cat = pair.base
     sharp = cat.sharp_at("O")
-    g = Word.of(cat.generator("g"))
-    F_sharp = Word.of(cat.generator("F"), sharp)
+    g = cat.word("g")
+    F_sharp = Word.from_generators((cat.generator("F"), sharp))
     derivation = srt1(pair, RefArrow(g, F_sharp))
     assert [s.rule for s in derivation.steps] == ["axiom", "shift"]
     final = derivation.final
     h = final.src
-    assert h == compose(cat, Word.of(sharp), g)
+    assert h == compose(cat, Word.from_generators((sharp,)), g)
     # the conclusion has shape (h -> Fh): target is F applied after h
-    assert final.dst == compose(cat, Word.of(cat.generator("F")), h)
+    assert final.dst == compose(cat, cat.word("F"), h)
     assert final.dst == compose(cat, F_sharp, g)
 
 
@@ -218,7 +215,7 @@ def test_srt1_identity_reference_on_f_sharp():
 def test_srt1_rejects_wrong_shape():
     pair = free_pair(names="gF")
     cat = pair.base
-    g, F = Word.of(cat.generator("g")), Word.of(cat.generator("F"))
+    g, F = cat.word("g"), cat.word("F")
     with pytest.raises(NotSrt1Shape):
         srt1(pair, RefArrow(g, F))
 
@@ -230,7 +227,7 @@ def test_iterate_matches_worked_sequence():
     pair = two_object_pair()
     cat = pair.base
     g, F, sharp = cat.generator("g"), cat.generator("F"), cat.sharp_at("X")
-    seq = iterate_shift(pair, RefArrow(Word.of(g), Word.of(F)), 3)
+    seq = iterate_shift(pair, RefArrow(Word.from_generators((g,)), Word.from_generators((F,))), 3)
     assert seq.stop_reason is None
     expected = [
         ((sharp, g), (F, g)),
@@ -259,7 +256,7 @@ def test_iterate_stops_across_objects():
         ["Z", "X", "Y"], [("g", "Z", "X"), ("F", "X", "Y")]
     )
     cat = pair.base
-    r = RefArrow(Word.of(cat.generator("g")), Word.of(cat.generator("F")))
+    r = RefArrow(cat.word("g"), cat.word("F"))
     seq = iterate_shift(pair, r, 2)
     assert len(seq) == 1
     assert seq.stop_reason == "not-composable"
@@ -270,7 +267,7 @@ def test_iterate_stops_on_two_node_graph():
     # with g: Z -> X and F a self-morphism of X, exactly one shift is possible
     pair = category_from_digraph(["Z", "X"], [("g", "Z", "X"), ("F", "X", "X")])
     cat = pair.base
-    r = RefArrow(Word.of(cat.generator("g")), Word.of(cat.generator("F")))
+    r = RefArrow(cat.word("g"), cat.word("F"))
     seq = iterate_shift(pair, r, 2)
     assert len(seq) == 1 and seq.stop_reason == "not-composable"
 
@@ -351,7 +348,7 @@ def _shift_outcome(iterate, pair, r, n):
 
 
 BUDGET_PAIR = shift_pair("X", SHIFT_RULES[:1], budget=3)
-S_WORD = Word.of(BUDGET_PAIR.base.generator("s"))
+S_WORD = BUDGET_PAIR.base.word("s")
 
 
 @settings(max_examples=300)
@@ -415,7 +412,7 @@ def test_compose_associative_exhaustive():
     pair = category_from_digraph(["X", "Y"], [("u", "X", "Y"), ("v", "Y", "X")])
     cat = pair.base
     gens = [cat.generator("u"), cat.generator("v")]
-    words = [Word.identity("X"), Word.identity("Y")]
+    words = [cat.identity("X"), cat.identity("Y")]
     layer = list(words)
     for _ in range(3):
         layer = [
@@ -466,7 +463,7 @@ def test_rewrite_normalization():
     u = cat.generator("u")
     w = Word.from_generators((u,) * 4)
     assert cat.normalize(w) == cat.identity("O")
-    assert cat.normalize(Word.from_generators((u,) * 3)) == Word.of(u)
+    assert cat.normalize(Word.from_generators((u,) * 3)) == Word.from_generators((u,))
 
 
 def test_rewrite_budget_exceeded():
@@ -475,7 +472,7 @@ def test_rewrite_budget_exceeded():
     pair = category_from_digraph(["O"], [("u", "O", "O")], rules=(rule,))
     cat = pair.base
     with pytest.raises(RewriteBudgetExceeded):
-        cat.normalize(Word.of(cat.generator("u")))
+        cat.normalize(cat.word("u"))
 
 
 def test_rewrite_identity_shaped_rule_terminates():
@@ -622,7 +619,7 @@ def test_shift_soundness_property(src_names, dst_names):
         return Word.from_generators(tuple(cat.generator(n) for n in names))
 
     src, dst = to_word(src_names), to_word(dst_names)
-    shifted = indicative_shift(pair, RefArrow(src, dst))
+    shifted = shift_step(pair, RefArrow(src, dst))[0]
     assert shifted.src.gens == (sharp,) + src.gens
     assert shifted.dst.gens == dst.gens + src.gens
 
@@ -888,7 +885,7 @@ def test_normalize_refuses_a_generator_outside_the_category():
     cat = UV_SHARP.base
     stranger = Generator("u", "O", "O", is_sharp=True)  # named like u, but not u
     with pytest.raises(InvalidDefinition, match="^generator u:O->O is not in the category$"):
-        cat.normalize(Word.of(stranger, cat.generator("v")))
+        cat.normalize(Word.from_generators((stranger, cat.generator("v"))))
 
 
 # --- the lambda shift against horizontal composition ---

@@ -157,15 +157,12 @@ def test_bridge_to_reference_shift():
     # the fixed-point equation gg = F(gg), read as a reference arrow in a
     # lambda pair with the sharp-expansion relation, is the shifted arrow
     rule = core.RewriteRule(("#", "?a"), ("?a", "?a"))
-    pair = core.category_from_digraph(
+    cat = core.category_from_digraph(
         ["O"], [("g", "O", "O"), ("F", "O", "O")], rules=(rule,)
-    )
-    from dataclasses import replace
-
-    pair = replace(pair, is_lambda_pair=True)
-    cat = pair.base
+    ).base
+    pair = core.CategoricalPair(cat, is_lambda_pair=True)
     arrow = core.parse_arrow(pair, "g -> F #")
-    shifted = core.indicative_shift(pair, arrow)
+    shifted = core.shift_step(pair, arrow)[0]
     assert [g.name for g in shifted.src.gens] == ["g", "g"]
     assert [g.name for g in shifted.dst.gens] == ["F", "g", "g"]
 

@@ -203,7 +203,7 @@ def test_arrow_chains_compose_vertically():
     # stacking the bracketing arrow on its own output: PX -> P[X] -> P[[X]]
     from refshift import core
 
-    pair = smullyan.smullyan_pair()
+    pair = core.CategoricalPair(smullyan.smullyan_category())
     first = reference_arrow("P]")  # body "]"
     second = reference_arrow("P[]]")  # the codomain string, classified afresh
     assert str(first) == "P] -> P[]]"

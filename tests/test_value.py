@@ -28,7 +28,7 @@ TABLE = lawvere.CurriedMap(TF, TF, (("0", "1"), ("1", "1")))
 # one instance of every value class, with its fields in constructor order
 VALUES = [
     (core.Generator("#", "O", "O", True), ("name", "dom", "cod", "is_sharp")),
-    (core.RewriteRule(("u", "?v"), ("?v",), "drop-u"), ("pattern", "replacement", "name")),
+    (core.RewriteRule(("u", "?v"), ("?v",)), ("pattern", "replacement")),
     (PAIR.base, ("objects", "generators", "rules", "rewrite_budget")),
     (ARROW, ("src", "dst")),
     (STEP, ("rule", "arrow", "note")),
@@ -109,7 +109,6 @@ def test_keyword_defaults():
     assert core.Category({"O"}, [sharp]).rewrite_budget == core.DEFAULT_REWRITE_BUDGET
     assert core.ShiftSequence((), ()).stop_reason is None
     assert core.DerivationStep("axiom", ARROW).note == ""
-    assert core.RewriteRule(("u",), ()).name == ""
 
 
 def test_derived_state_takes_no_part_in_equality():
