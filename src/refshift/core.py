@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import product, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -37,6 +37,9 @@ from .runs import merge_runs, parse, parse_token, render, runs_of
 from .value import Value, setfield
 
 DEFAULT_REWRITE_BUDGET = 10_000
+# placeholder bindings one category compiles its rules to, over all rules; rules
+# come from pair files, and a rule binds (generator count)^(placeholder count)
+MAX_RULE_BINDINGS = 10_000
 
 
 class Generator(Value):
@@ -185,31 +188,6 @@ class RewriteRule(Value):
         setfield(self, "pattern", pattern)
         setfield(self, "replacement", replacement)
 
-    def rewrite(self, segment, cat: "Category"):
-        """The replacement tuple for a pattern-long segment, or None if no match/progress."""
-        binding: dict[str, Generator] = {}
-        for tok, gen in zip(self.pattern, segment):
-            if tok.startswith("?"):
-                seen = binding.get(tok)
-                if seen is None:
-                    binding[tok] = gen
-                elif seen != gen:
-                    return None
-            elif gen.name != tok:
-                return None
-        repl: list[Generator] = []
-        for tok in self.replacement:
-            if tok == "1":
-                continue
-            if tok.startswith("?"):
-                repl.append(binding[tok])
-            else:
-                repl.append(cat.generator(tok))
-        repl = tuple(repl)
-        if repl == tuple(segment):
-            return None  # no progress; keeps identity-shaped rules terminating
-        return repl
-
     def __str__(self):
         return f"{' '.join(self.pattern)} => {' '.join(self.replacement) or '1'}"
 
@@ -218,8 +196,8 @@ class Category(Value):
     """A base category presented by objects, generators, and rewrite rules."""
 
     # built from the fields: name -> its generator, object -> its sharp, name ->
-    # the compiled rules whose pattern may start with it, and normalize's
-    # back-off (longest pattern - 1)
+    # the compiled (size, pattern, replacement) name lists whose pattern starts
+    # with it, and normalize's back-off (longest pattern - 1)
     __slots__ = ("_by_name", "_sharps", "_starts", "_reach")
 
     def __init__(self, objects: Iterable[str], generators: Iterable[Generator],
@@ -239,31 +217,36 @@ class Category(Value):
                 if g.dom in sharps:
                     raise InvalidDefinition(f"object {g.dom} has more than one sharp generator")
                 sharps[g.dom] = g
-        # the compiled rules: (size, pattern, replacement, rule) in declaration
-        # order, a rule starting with "?v" under every name.  A literal rule
-        # keeps its pattern and replacement as name lists and rule None; a
-        # rule with placeholders keeps pattern None and is matched by
-        # rule.rewrite.  A literal rule whose replacement is its pattern never
-        # makes progress, so it is left out.
+        # the compiled rules: (size, pattern, replacement) name lists in
+        # declaration order, under the name each pattern starts with.  A
+        # placeholder matches exactly one generator, so a rule is compiled once
+        # for each binding of its distinct placeholders to generator names; a
+        # binding whose replacement is its pattern never makes progress, so it
+        # is left out.
         starts: dict[str, list] = {}
-        reach = 0
+        reach = bindings = 0
         for rule in rules:
-            # in a replacement "1" is the empty word; in a pattern it is a name like any other
+            # in a replacement "1" is the empty word, but a placeholder bound to a
+            # generator named 1 stays; in a pattern "1" is a name like any other
             replacement = [tok for tok in rule.replacement if tok != "1"]
             literals = rule.pattern + tuple(replacement)
             unknown = [t for t in literals if not t.startswith("?") and t not in by_name]
             if unknown:
                 raise InvalidDefinition(f"rule {rule} names no generator {unknown[0]!r}")
-            if any(tok.startswith("?") for tok in rule.pattern):
-                entry = (len(rule.pattern), None, None, rule)
-            elif replacement != list(rule.pattern):
-                entry = (len(rule.pattern), list(rule.pattern), replacement, None)
-            else:
-                continue
-            first = rule.pattern[0]
-            for name in by_name if first.startswith("?") else (first,):
-                starts.setdefault(name, []).append(entry)
-            reach = max(reach, len(rule.pattern) - 1)
+            holes = tuple(dict.fromkeys(t for t in rule.pattern if t.startswith("?")))
+            bindings += len(by_name) ** len(holes)
+            if bindings > MAX_RULE_BINDINGS:
+                raise InvalidDefinition(
+                    f"rule {rule} takes the category past {MAX_RULE_BINDINGS} placeholder bindings"
+                )
+            size = len(rule.pattern)
+            for names in product(by_name, repeat=len(holes)):
+                bound = dict(zip(holes, names))
+                pattern = [bound.get(tok, tok) for tok in rule.pattern]
+                found = [bound.get(tok, tok) for tok in replacement]
+                if found != pattern:
+                    starts.setdefault(pattern[0], []).append((size, pattern, found))
+                    reach = max(reach, size - 1)
         setfield(self, "objects", objects)
         setfield(self, "generators", generators)
         setfield(self, "rules", rules)
@@ -308,14 +291,14 @@ class Category(Value):
         """Exhaustive leftmost rewriting under this category's rules.
 
         A word none of whose run generators starts a rule is returned as it
-        is, in one step per run (a rule starting with "?v" starts at every
-        generator).  Otherwise the word is spelled out as generator names.
-        A rewrite at pos leaves every window that ends before pos as it was,
-        and none of those matched, so the search for the next leftmost redex
-        resumes at pos - reach (the longest pattern less one) instead of at
-        0.  At each position only the rules whose pattern can start with
-        that name are tried, in their order; a literal pattern is matched by
-        comparing names, a pattern with placeholders by RewriteRule.rewrite.
+        is, in one step per run.  Otherwise the word is spelled out as
+        generator names.  A rewrite at pos leaves every window that ends
+        before pos as it was, and none of those matched, so the search for
+        the next leftmost redex resumes at pos - reach (the longest pattern
+        less one) instead of at 0.  At each position only the compiled rules
+        whose pattern starts with that name are tried, in their order, each
+        by comparing names: placeholders were bound when the category was
+        built.
         """
         starts = self._starts
         if not starts or not any(g.name in starts for g, _ in w.runs):
@@ -331,18 +314,9 @@ class Category(Value):
         steps = pos = 0
         length = len(names)
         while pos < length:
-            for size, pattern, repl, rule in starts.get(names[pos], ()):
-                end = pos + size
-                if end > length:
-                    continue
-                if rule is None:
-                    if names[pos:end] == pattern:
-                        break
-                else:
-                    found = rule.rewrite([lookup[name] for name in names[pos:end]], self)
-                    if found is not None:
-                        repl = [g.name for g in found]
-                        break
+            for size, pattern, repl in starts.get(names[pos], ()):
+                if names[pos:pos + size] == pattern:
+                    break
             else:
                 pos += 1
                 continue
@@ -351,7 +325,7 @@ class Category(Value):
                 raise RewriteBudgetExceeded(
                     f"normalization of {w} exceeded the budget of {self.rewrite_budget} steps"
                 )
-            names[pos:end] = repl
+            names[pos:pos + size] = repl
             length += len(repl) - size
             pos = pos - reach if pos > reach else 0
         if not steps:

@@ -514,6 +514,14 @@ def test_fuel_zero_is_honoured(capsys, tmp_path):
     assert message.endswith("exceeded the budget of 10000 steps")
 
 
+def test_an_identity_placeholder_rule_takes_no_step(capsys, tmp_path):
+    # ?a => ?a never makes progress, so even no fuel at all is enough
+    cat = tmp_path / "still.cat"
+    cat.write_text("object O\nsharp # : O\ngenerator u : O -> O\nrule ?a => ?a\n")
+    code, payload, _ = invoke_json(capsys, "shift", "u u -> u", "--category", str(cat), "--fuel", "0")
+    assert (code, payload["result"]["arrow"]) == (0, "#uu -> uuu")
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_iterate_rejects_nonpositive_n(capsys, n):
     message = assert_error(capsys, ["iterate", "--n", n], "usage", 2)
@@ -678,6 +686,11 @@ FAILURES = {
                    "invalid-definition", "object O has more than one sharp generator"),
     "rule-empty-pattern": (SHIFT_PAIR_FILE, PAIR_HEAD + "rule =>\n",
                            "invalid-definition", "rewrite pattern must be nonempty"),
+    "rule-past-the-binding-cap": (SHIFT_PAIR_FILE, PAIR_HEAD
+                                  + "".join(f"generator g{i} : O -> O\n" for i in range(100))
+                                  + "rule ?a ?b => 1\n",
+                                  "invalid-definition",
+                                  "rule ?a ?b => 1 takes the category past 10000 placeholder bindings"),
     "rule-without-arrow": (SHIFT_PAIR_FILE, PAIR_HEAD + "rule\n",
                            "invalid-definition", "line 3: cannot parse 'rule'"),
     "flag-lambda-pair": (SHIFT_PAIR_FILE, PAIR_HEAD + "flags lambda-pair\n",

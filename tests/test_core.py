@@ -484,9 +484,44 @@ def test_rewrite_identity_shaped_rule_terminates():
     assert str(cat.normalize(cat.word("# #"))) == "##"
 
 
+def test_rewrite_keeps_a_placeholder_bound_to_a_generator_named_1():
+    # the rule's own 1 tokens are dropped first, then ?a binds; a bound 1 is a generator
+    rule = RewriteRule(("#", "?a"), ("?a", "?a"))
+    cat = category_from_digraph(["O"], [("1", "O", "O")], rules=(rule,)).base
+    assert cat.normalize(cat.word("# 1")) == cat.word("1 1")
+
+
+def test_rewrite_bindings_cap():
+    # 99 edges and the sharp #: ?a ?b binds 100^2 = 10000 name pairs, exactly the cap;
+    # one generator more is past it
+    gens = [(f"g{i}", "O", "O") for i in range(99)]
+    rule = RewriteRule(("?a", "?b"), ("1",))
+    cat = category_from_digraph(["O"], gens, rules=(rule,)).base
+    assert cat.normalize(cat.word("g1 # g2 g3")) == cat.identity("O")
+    message = "^rule \\?a \\?b => 1 takes the category past 10000 placeholder bindings$"
+    with pytest.raises(InvalidDefinition, match=message):
+        category_from_digraph(["O"], gens + [("g99", "O", "O")], rules=(rule,))
+
+
 def test_rewrite_placeholder_must_bind():
     with pytest.raises(InvalidDefinition):
         RewriteRule(("u",), ("?x",))
+
+
+def rewrite(rule, segment, cat):
+    """The generators rule puts for a pattern-long segment, or None if no match/progress.
+
+    The oracles' own matcher: it binds each placeholder to a Generator as it
+    meets it, so it shares nothing with the rule table Category compiles.
+    """
+    binding = {}
+    for tok, gen in zip(rule.pattern, segment):
+        bound = binding.setdefault(tok, gen) if tok.startswith("?") else cat.generator(tok)
+        if bound != gen:
+            return None
+    repl = tuple(binding[tok] if tok.startswith("?") else cat.generator(tok)
+                 for tok in rule.replacement if tok != "1")
+    return None if repl == tuple(segment) else repl
 
 
 def apply_at(rule, gens, pos, cat):
@@ -494,7 +529,7 @@ def apply_at(rule, gens, pos, cat):
     size = len(rule.pattern)
     if pos + size > len(gens):
         return None
-    repl = rule.rewrite(gens[pos : pos + size], cat)
+    repl = rewrite(rule, gens[pos : pos + size], cat)
     return None if repl is None else gens[:pos] + repl + gens[pos + size :]
 
 
@@ -796,7 +831,7 @@ def resumed_oracle(cat, word):
             size = len(rule.pattern)
             if rule.pattern[0] == gens[pos].name or rule.pattern[0].startswith("?"):
                 if pos + size <= len(gens):
-                    repl = rule.rewrite(gens[pos : pos + size], cat)
+                    repl = rewrite(rule, gens[pos : pos + size], cat)
                     if repl is not None:
                         break
         else:
