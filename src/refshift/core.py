@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import product, repeat
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ChainMismatch,
@@ -310,7 +310,7 @@ class Category(Value):
             if known is not g and known != g:
                 raise InvalidDefinition(f"generator {g.name}:{g.dom}->{g.cod} is not in the category")
             names += [g.name] * count
-        reach = self._reach
+        reach, budget = self._reach, self.rewrite_budget
         steps = pos = 0
         length = len(names)
         while pos < length:
@@ -321,10 +321,8 @@ class Category(Value):
                 pos += 1
                 continue
             steps += 1
-            if steps > self.rewrite_budget:
-                raise RewriteBudgetExceeded(
-                    f"normalization of {w} exceeded the budget of {self.rewrite_budget} steps"
-                )
+            if steps > budget:
+                raise RewriteBudgetExceeded(f"normalization of {w} exceeded the budget of {budget} steps")
             names[pos:pos + size] = repl
             length += len(repl) - size
             pos = pos - reach if pos > reach else 0
@@ -436,7 +434,9 @@ def concat(f: Word, g: Word) -> Word:
             runs = left + right
     else:
         runs = left or right
-    return Word._trusted(runs, g._dom, f._cod, f._len + g._len)
+    word = object.__new__(Word)
+    word._runs, word._dom, word._cod, word._len = runs, g._dom, f._cod, f._len + g._len
+    return word
 
 
 def compose(cat: Category, f: Word, g: Word) -> Word:
@@ -458,39 +458,47 @@ def shift_derivation(axiom: RefArrow, shifted: RefArrow, rule: str) -> Derivatio
     return Derivation((DerivationStep("axiom", axiom), DerivationStep(rule, shifted)))
 
 
-def _shift_plan(pair: CategoricalPair, r: RefArrow) -> tuple[Word | None, str]:
-    """The sharp for shifting r and its inference label; None means a is its own sharp.
+def _shift_plan(pair: CategoricalPair, r: RefArrow) -> tuple[Callable, Word | None, str]:
+    """The composer, the sharp and the inference label for shifting r.
 
-    In a lambda pair a self-morphism source a is its own sharp, #a = aa
-    (label "shift-lambda"); otherwise the sharp generator at the source's
-    codomain is the sharp (label "shift", or "shift-sharp-fallback" when a
-    lambda pair falls back to a free sharp for a non-self source).  The
-    shift keeps a's endpoints, since #a and aa both run from a's domain to
-    its codomain, so the plan of r holds for every arrow shifted from it.
+    The composer is concat itself when the base has no compiled rules: a
+    category without rules has only normal forms, so normalize is the
+    identity there.  Otherwise it is compose in the base, which normalizes
+    and refuses foreign generators.  In a lambda pair a self-morphism source
+    a is its own sharp, #a = aa (sharp None, label "shift-lambda");
+    otherwise the sharp generator at the source's codomain is the sharp
+    (label "shift", or "shift-sharp-fallback" when a lambda pair falls back
+    to a free sharp for a non-self source).  The shift keeps a's endpoints,
+    since #a and aa both run from a's domain to its codomain, so the plan of
+    r holds for every arrow shifted from it.
     """
     if r.src.cod != r.dst.dom:
         raise NotComposable(
             f"{r} is not a composable reference: codomain {r.src.cod} != domain {r.dst.dom}"
         )
+    base = pair.base
+    composer = partial(compose, base) if base._starts else concat
     if pair.is_lambda_pair and r.src.is_self_morphism:
-        return None, "shift-lambda"
-    gen = pair.base.sharp_at(r.src.cod)
+        return composer, None, "shift-lambda"
+    gen = base.sharp_at(r.src.cod)
     if gen is None:
         raise NoSharpGenerator(f"no sharp generator at object {r.src.cod!r}")
     sharp = Word._trusted(((gen, 1),), gen.dom, gen.cod, 1)
-    return sharp, "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
+    return composer, sharp, "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
 
 
 def shift_step(pair: CategoricalPair, r: RefArrow) -> tuple[RefArrow, str]:
     """The shifted arrow plus the inference label used to produce it.
 
-    The sharp and the label are those of _shift_plan: a itself in a lambda
-    pair when a is a self-morphism ("shift-lambda"), else the sharp generator
-    at a's codomain ("shift", or "shift-sharp-fallback" in a lambda pair).
-    Raises NotComposable or NoSharpGenerator when the shift does not apply.
+    The composer, the sharp and the label are those of _shift_plan: a itself
+    in a lambda pair when a is a self-morphism ("shift-lambda"), else the
+    sharp generator at a's codomain ("shift", or "shift-sharp-fallback" in a
+    lambda pair); both composites are normalized only when the base has
+    rules.  Raises NotComposable or NoSharpGenerator when the shift does not
+    apply.
     """
-    sharp, label = _shift_plan(pair, r)
-    return shift(partial(compose, pair.base), r.src if sharp is None else sharp, r), label
+    composer, sharp, label = _shift_plan(pair, r)
+    return shift(composer, r.src if sharp is None else sharp, r), label
 
 
 def srt1(pair: CategoricalPair, r: RefArrow) -> Derivation:
@@ -511,27 +519,27 @@ def iterate_shift(pair: CategoricalPair, r: RefArrow, n: int) -> ShiftSequence:
 
     The result is that of calling shift_step n times, with NotComposable and
     NoSharpGenerator read as the stop reasons "not-composable" and
-    "no-sharp-generator".  Since the shift keeps a's endpoints, the sharp and
-    the label are resolved once, from r; each step only checks that its
-    arrow still composes (after the first shift, that a is a self-morphism)
-    and then costs two seam concatenations, each normalized, and one arrow.
+    "no-sharp-generator".  Since the shift keeps a's endpoints, the
+    composer, the sharp and the label are resolved once, from r (see
+    _shift_plan).  Each step then costs one endpoint comparison (after the
+    first shift, that a is a self-morphism), two seam joins and one arrow;
+    the joins are normalized only when the base has rules.
     """
     if n < 1:
         raise InvalidDefinition(f"n must be at least 1, got {n}")
     try:
-        sharp, label = _shift_plan(pair, r)
+        composer, sharp, label = _shift_plan(pair, r)
     except NotComposable:
         return ShiftSequence((), (), "not-composable")
     except NoSharpGenerator:
         return ShiftSequence((), (), "no-sharp-generator")
-    step = partial(compose, pair.base)
     arrows: list[RefArrow] = []
     current, reason = r, None
     for _ in range(n):
         if current.src._cod != current.dst._dom:
             reason = "not-composable"
             break
-        current = shift(step, current.src if sharp is None else sharp, current)
+        current = shift(composer, current.src if sharp is None else sharp, current)
         arrows.append(current)
     return ShiftSequence(tuple(arrows), (label,) * len(arrows), reason)
 

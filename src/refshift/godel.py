@@ -226,11 +226,15 @@ def substitute(s: Formula, t: Formula) -> Formula:
         raise NoFreeVariable(f"{s} has no occurrence of the variable x")
     runs: list[tuple[str, int]] = []
     for ch, count in s.runs:
-        if ch == "x":
+        if ch != "x":
+            runs.append((ch, count))
+        elif len(t.runs) == 1:
+            # x^k over one run (c, n) is the one run (c, n*k); from_runs merges the seams
+            (c, n), = t.runs
+            runs.append((c, n * count))
+        else:
             for _ in range(count):
                 runs.extend(t.runs)
-        else:
-            runs.append((ch, count))
     return Formula.from_runs(runs)
 
 

@@ -319,10 +319,13 @@ def shift_pair(sharps, rules=(), budget=core.DEFAULT_REWRITE_BUDGET, lambda_pair
 
 
 @st.composite
-def shift_cases(draw):
-    """A pair, a starting arrow (self or not, composable or not) and a shift count."""
+def shift_cases(draw, rules=True):
+    """A pair, a starting arrow (self or not, composable or not) and a shift count.
+
+    With rules=False every drawn pair is free: its base has no rules.
+    """
     lambda_pair = draw(st.booleans())
-    if draw(st.booleans()):
+    if rules and draw(st.booleans()):
         pair = shift_pair("XY", SHIFT_RULES, draw(st.integers(0, 20)), lambda_pair)
     else:
         pair = shift_pair(draw(st.sampled_from(["XY", "X", "Y", ""])), lambda_pair=lambda_pair)
@@ -359,6 +362,52 @@ S_WORD = BUDGET_PAIR.base.word("s")
 def test_iterate_matches_stepwise_oracle(case):
     pair, r, n = case
     assert _shift_outcome(iterate_shift, pair, r, n) == _shift_outcome(stepwise_oracle, pair, r, n)
+
+
+def tuple_model(pair, r, n):
+    """iterate_shift on a pair without rules, rebuilt from generator tuples and Word(gens, dom, cod).
+
+    It shares no code with the shift kernel: src' = sharp + src, or src + src
+    for a self-morphism source in a lambda pair, and dst' = dst + src.
+    """
+    src, dst, dom, cod, dst_dom = r.src.gens, r.dst.gens, r.src.dom, r.src.cod, r.dst.dom
+    sharps = tuple(g for g in pair.base.generators if g.is_sharp and g.dom == cod)
+    arrows, labels, reason = [], [], None
+    for _ in range(n):
+        if cod != dst_dom:
+            reason = "not-composable"
+            break
+        if pair.is_lambda_pair and dom == cod:
+            shifted, label = src + src, "shift-lambda"
+        elif sharps:
+            shifted, label = sharps + src, "shift-sharp-fallback" if pair.is_lambda_pair else "shift"
+        else:
+            reason = "no-sharp-generator"
+            break
+        src, dst, dst_dom = shifted, dst + src, dom
+        arrows.append(RefArrow(Word(src, dom, cod), Word(dst, dom, r.dst.cod)))
+        labels.append(label)
+    return ShiftSequence(tuple(arrows), tuple(labels), reason)
+
+
+@settings(max_examples=300)
+@given(shift_cases(rules=False))
+def test_iterate_without_rules_matches_a_tuple_model(case):
+    pair, r, n = case
+    assert iterate_shift(pair, r, n) == tuple_model(pair, r, n)
+
+
+def test_a_base_without_rules_never_normalizes(monkeypatch):
+    def refuse(cat, word):
+        raise AssertionError(f"normalize({word}) on a base without rules")
+
+    monkeypatch.setattr(Category, "normalize", refuse)
+    cases = [(shift_pair("XY", lambda_pair=lam), "s -> f") for lam in (False, True)]
+    cases += [(core.simplest_pair(), "1_O -> 1_O"), (core.russell_pair(), "R -> ~#")]
+    for pair, text in cases:
+        arrow = parse_arrow(pair, text)
+        assert len(iterate_shift(pair, arrow, 6)) == 6
+        assert shift_step(pair, arrow)[0] == iterate_shift(pair, arrow, 1).final
 
 
 def test_rewrite_budget_runs_out_partway_through_a_sequence():

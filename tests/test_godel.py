@@ -279,6 +279,11 @@ def test_substitute_merges_boundary_runs():
     assert out.runs == (("|", 5),)
 
 
+def test_substitute_one_run_merges_at_both_seams():
+    k = 1000
+    assert substitute(parse_compact(f"|x^{k}|"), parse("|")).runs == (("|", k + 2),)
+
+
 # --- the coding category ---
 
 
