@@ -7,6 +7,11 @@ F(gg), so every term F has a fixed point.  That rewrite never terminates as
 a whole, so reduction is fuel-bounded and normal-order (leftmost-outermost;
 an innermost strategy would loop before exposing even one F).
 
+A definition compiles its body once into a template, the nodes above the
+variable; a rewrite builds only those and shares the body's var-free parts,
+such as F, into the result.  One reduction searches each shared part at
+most once, so k steps of the fixed-point tower cost O(|F| + k).
+
 Terms print fully parenthesized, "(F (g g))".  The parser accepts either
 spaced multi-character names or dense single-character juxtaposition: text
 containing no spaces, like "a((bx)x)", is read one character at a time.
@@ -71,16 +76,71 @@ Term = Union[Atom, FreeVar, Apply]
 
 
 class ReflexiveDef(Value):
-    """A named map: Apply(name, t) rewrites to body with t for the variable."""
+    """A named map: Apply(name, t) rewrites to body with t for the variable.
+
+    The body is compiled once into a template: the Apply nodes that sit
+    above an occurrence of the variable, in post-order.  A rewrite builds
+    those nodes and no others; every var-free child of the body is shared
+    into the result as the body's own object.
+    """
+
+    __slots__ = ("_shared", "_spine")
 
     def __init__(self, name: str, var: str, body: Term):
-        if not contains_var(body, var):
+        template = _template(body, var)
+        if template is None:
             raise VarNotFree(f"variable {var!r} does not occur in the body")
         if name in atom_names(body):
             raise InvalidDefinition(f"definition name {name!r} occurs in its own body")
         setfield(self, "name", name)
         setfield(self, "var", var)
         setfield(self, "body", body)
+        setfield(self, "_shared", template[0])
+        setfield(self, "_spine", template[1])
+
+
+def _template(body: Term, var: str) -> tuple[tuple[Term, ...], tuple[tuple[int, int], ...]] | None:
+    """(shared, spine) for body, or None when `var` does not occur in it.
+
+    An instance is built in one list of nodes: slot 0 holds the argument,
+    slots 1..len(shared) the var-free children, and each (i, j) of the
+    spine appends Apply(nodes[i], nodes[j]); the last node is the instance.
+    A subterm that occurs at several places (by identity) gets one slot.
+    A post-order walk without recursion.
+    """
+    shared: list[Term] = []
+    slot_of_shared: dict[int, int] = {}
+    spine: list[tuple[int, int]] = []
+    # id of a walked node -> its slot: 0 for the variable, -(j + 1) for spine
+    # node j (renumbered at the end), None when the node is var-free
+    slot: dict[int, int | None] = {}
+    todo: list = [body]
+    while todo:
+        x = todo.pop()
+        if x is None:  # both children of the next node are done
+            x = todo.pop()
+            pair = [slot[id(x.left)], slot[id(x.right)]]
+            if pair == [None, None]:
+                slot[id(x)] = None
+                continue
+            for k, child in enumerate((x.left, x.right)):
+                if pair[k] is None:
+                    if id(child) not in slot_of_shared:
+                        shared.append(child)
+                        slot_of_shared[id(child)] = len(shared)
+                    pair[k] = slot_of_shared[id(child)]
+            spine.append(tuple(pair))
+            slot[id(x)] = -len(spine)
+        elif id(x) in slot:
+            continue
+        elif type(x) is Apply:
+            todo += (x, None, x.right, x.left)
+        else:
+            slot[id(x)] = 0 if type(x) is FreeVar and x.name == var else None
+    if slot[id(body)] is None:
+        return None
+    m = len(shared)
+    return tuple(shared), tuple((i if i >= 0 else m - i, j if j >= 0 else m - j) for i, j in spine)
 
 
 def _tokens(t: Term) -> list:
@@ -104,30 +164,6 @@ def atom_names(t: Term) -> set[str]:
 
 def contains_var(t: Term, var: str) -> bool:
     return any(type(x) is FreeVar and x.name == var for x in _tokens(t))
-
-
-def substitute_term(t: Term, var: str, value: Term) -> Term:
-    """Replace FreeVar(var) only; atoms that share the variable's name stay put.
-
-    A post-order walk without recursion; subtrees without the variable are
-    shared with t, not copied, and `value` is shared at every occurrence.
-    """
-    done: list[Term] = []
-    todo: list = [t]
-    while todo:
-        x = todo.pop()
-        if x is None:  # both children of the next node are done
-            x = todo.pop()
-            right = done.pop()
-            left = done.pop()
-            done.append(x if left is x.left and right is x.right else Apply(left, right))
-        elif type(x) is Apply:
-            todo += (x, None, x.right, x.left)
-        elif type(x) is FreeVar and x.name == var:
-            done.append(value)
-        else:
-            done.append(x)
-    return done[0]
 
 
 class Rewriter:
@@ -194,22 +230,31 @@ def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
     One pre-order search over an explicit path (a zipper) visits the term:
     `path` holds (parent, right) for each Apply above the focus, with
     `right` true where the focus is the parent's right child.  A rewrite
-    replaces the focus and the search resumes there, since every redex
-    before it in normal order was already ruled out.  The one exception is
-    a rewrite that leaves a defined atom as a left child: its parent is
-    then the next redex.  Ancestors are rebuilt on the way up, and only
-    when a child changed.  No position is searched twice, so a step costs
-    O(body size) plus the new nodes it exposes, and nothing recurses.
+    replaces the focus with an instance of the definition's template and
+    the search resumes there, since every redex before it in normal order
+    was already ruled out.  The one exception is a rewrite that leaves a
+    defined atom as a left child: its parent is then the next redex.
+    Ancestors are rebuilt on the way up, and only when a child changed.
+
+    An Apply searched completely without a redex is recorded for the rest
+    of the call (by id, holding the object, so the id is not reused) and
+    stepped over when met again: terms are immutable and the definitions
+    do not change during a call.  The var-free parts of a body are shared
+    into every instance, so each is searched at most once.  So k steps cost
+    O(k * spine) plus the new nodes the search passes over, where the spine
+    is the body's nodes above the variable; the fixed-point tower of any F
+    costs O(|F| + k).  Nothing recurses.
     """
     r.check_steps(steps)
     defs = r.defs
     path: list[tuple[Apply, bool]] = []
+    searched: dict[int, Apply] = {}  # id -> an Apply whose subterm holds no redex
     focus = t
     used = 0
     while True:
         # advance the focus to the next redex in pre-order, if any
         while True:
-            if type(focus) is Apply:
+            if type(focus) is Apply and id(focus) not in searched:
                 left = focus.left
                 if type(left) is Atom and left.name in defs:
                     break
@@ -224,6 +269,7 @@ def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
                 parent, right = path.pop()
                 if right:
                     focus = parent if focus is parent.right else Apply(parent.left, focus)
+                    searched[id(focus)] = focus
                     continue
                 if focus is not parent.left:
                     parent = Apply(focus, parent.right)
@@ -235,7 +281,10 @@ def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
         if used >= steps:
             break
         d = defs[focus.left.name]
-        focus = substitute_term(d.body, d.var, focus.right)
+        nodes = [focus.right, *d._shared]
+        for i, j in d._spine:
+            nodes.append(Apply(nodes[i], nodes[j]))
+        focus = nodes[-1]
         used += 1
         if type(focus) is Atom and focus.name in defs and path and not path[-1][1]:
             parent, _ = path.pop()

@@ -22,11 +22,15 @@ from .value import Value, setfield
 
 
 class FinSet(Value):
+    __slots__ = ("_members",)  # the elements as a frozenset, for membership checks
+
     def __init__(self, elements: Iterable[str]):
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
+        members = frozenset(elements)
+        if len(members) != len(elements):
             raise InvalidDefinition("finite set labels must be distinct")
         setfield(self, "elements", elements)
+        setfield(self, "_members", members)
 
     def index(self, label: str) -> int:
         try:
@@ -46,12 +50,11 @@ class FinMap(Value):
 
     def __init__(self, dom: FinSet, cod: FinSet, table: Iterable[str]):
         table = tuple(table)
-        if len(table) != len(dom):
+        if len(table) != len(dom.elements):
             raise InvalidDefinition("table must assign a value to every domain element")
-        values = set(cod.elements)
-        for v in table:
-            if v not in values:
-                raise InvalidDefinition(f"value {v!r} is outside the codomain")
+        if not cod._members.issuperset(table):
+            v = next(v for v in table if v not in cod._members)
+            raise InvalidDefinition(f"value {v!r} is outside the codomain")
         setfield(self, "dom", dom)
         setfield(self, "cod", cod)
         setfield(self, "table", table)
@@ -75,14 +78,15 @@ class CurriedMap(Value):
     """F: X -> [X, Z], stored as one row of Z-values per element of X."""
 
     def __init__(self, dom: FinSet, cod_base: FinSet, rows: Iterable[Iterable[str]]):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != len(dom):
+        rows = tuple(map(tuple, rows))
+        n = len(dom.elements)
+        if len(rows) != n:
             raise InvalidDefinition("one row per domain element required")
-        cod = set(cod_base.elements)
+        cod = cod_base._members
         for row in rows:
-            if len(row) != len(dom):
+            if len(row) != n:
                 raise InvalidDefinition("each row must cover the whole domain")
-            if any(v not in cod for v in row):
+            if not cod.issuperset(row):
                 raise InvalidDefinition("row value outside the base codomain")
         setfield(self, "dom", dom)
         setfield(self, "cod_base", cod_base)
@@ -117,12 +121,13 @@ def _check_post_map(F: CurriedMap, post: FinMap):
 def cantor_diagonal(F: CurriedMap, neg: FinMap) -> FinMap:
     """The map x -> neg(F(x)(x))."""
     _check_post_map(F, neg)
-    return FinMap(F.dom, F.cod_base, tuple(neg(row[i]) for i, row in enumerate(F.rows)))
+    image = dict(zip(neg.dom.elements, neg.table))
+    return FinMap(F.dom, F.cod_base, [image[row[i]] for i, row in enumerate(F.rows)])
 
 
 def _representations(F: CurriedMap, C: FinMap) -> tuple[str, ...]:
     """The one row scan: every element whose row equals C, in domain order."""
-    return tuple(x for x, row in zip(F.dom, F.rows) if row == C.table)
+    return tuple(x for x, row in zip(F.dom.elements, F.rows) if row == C.table)
 
 
 def find_representation(F: CurriedMap, C: FinMap):
@@ -209,7 +214,7 @@ def three_valued_diagonal_analysis(F: CurriedMap) -> DiagonalReport:
 
 def all_curried_maps(dom: FinSet, cod_base: FinSet):
     """Every curried map dom -> [dom, cod_base], for exhaustive desk-scale checks."""
-    n = len(dom)
+    n = len(dom.elements)
     for cells in itertools.product(cod_base.elements, repeat=n * n):
-        rows = tuple(tuple(cells[i * n : (i + 1) * n]) for i in range(n))
+        rows = tuple(cells[i * n : (i + 1) * n] for i in range(n))
         yield CurriedMap(dom, cod_base, rows)

@@ -56,7 +56,15 @@ class MachineModel(Value):
         setfield(self, "printable", frozenset(printable))
 
 
-_KINDS = frozenset({"P", "~P", "R", "~R"})
+# kind -> (prefix length, the subject doubles the body, asserted printable):
+# P/~P talk about X itself, R/~R about the doubling XX; the ~ forms assert
+# unprintability
+_KINDS = {
+    "P": (1, False, True),
+    "~P": (2, False, False),
+    "R": (1, True, True),
+    "~R": (2, True, False),
+}
 
 
 def _split(s: str) -> tuple[str, str] | None:
@@ -65,13 +73,15 @@ def _split(s: str) -> tuple[str, str] | None:
     return (kind, s[len(kind):]) if kind in _KINDS else None
 
 
-def _assertion(kind: str, body: str) -> tuple[str, bool]:
-    """The string whose printability a string of this kind and body asserts.
-
-    Returns (subject, asserted_printable): P/~P talk about X itself, R/~R
-    about the doubling XX; the ~ forms assert unprintability.
-    """
-    return (body if kind[-1] == "P" else body + body), kind[0] != "~"
+def _claim(s: str) -> tuple[str, bool] | None:
+    """(subject, asserted_printable) for an interpretable string, else None:
+    the string whose printability s asserts, and whether it asserts it."""
+    kind = _KINDS.get(s[:2] if s[:1] == "~" else s[:1])
+    if kind is None:
+        return None
+    size, doubles, positive = kind
+    body = s[size:]
+    return (body + body if doubles else body), positive
 
 
 def classify(s: str) -> Classification | None:
@@ -85,20 +95,20 @@ def classify(s: str) -> Classification | None:
 
 def reference_arrow(s: str) -> RefArrow | None:
     """The rule arrow for an interpretable string, e.g. RX -> P[XX]; else None."""
-    split = _split(s)
-    if split is None:
+    claim = _claim(s)
+    if claim is None:
         return None
-    subject, positive = _assertion(*split)
+    subject, positive = claim
     prefix = "P" if positive else "~P"
     return RefArrow(word(s), word(f"{prefix}[{subject}]"))
 
 
 def semantics(s: str, m: MachineModel) -> bool | None:
     """Truth of s against the machine model; None when s has no meaning."""
-    split = _split(s)
-    if split is None:
+    claim = _claim(s)
+    if claim is None:
         return None
-    subject, positive = _assertion(*split)
+    subject, positive = claim
     return (subject in m.printable) == positive
 
 
@@ -112,10 +122,10 @@ def _sweep(printable: frozenset[str]) -> tuple[list[str], dict[str, list[str]]]:
     false: list[str] = []
     claims: dict[str, list[str]] = {}
     for s in printable:
-        split = _split(s)
-        if split is None:
+        claim = _claim(s)
+        if claim is None:
             continue
-        subject, positive = _assertion(*split)
+        subject, positive = claim
         if (subject in printable) != positive:
             false.append(s)
         elif positive:

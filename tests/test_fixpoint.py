@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from refshift import core, fixpoint
 from refshift.errors import InvalidDefinition, VarNotFree
@@ -15,7 +15,6 @@ from refshift.fixpoint import (
     parse_term,
     reduce,
     reflexive_name,
-    substitute_term,
 )
 
 
@@ -90,6 +89,17 @@ def test_normal_order_is_leftmost_outermost():
     assert reduce(term, r, 1).term == Apply(inner, inner)
 
 
+def test_a_copied_subterm_is_searched_again_while_it_holds_a_redex():
+    # d copies its argument; the left copy's redex is reduced first, and the
+    # right copy, the same object, must not be stepped over as searched
+    r = Rewriter()
+    r.define("I", "x", FreeVar("x"))
+    r.define("d", "x", Apply(FreeVar("x"), FreeVar("x")))
+    out = reduce(parse_term("d ((a c) (I b))"), r, 10)
+    assert out.term == parse_term("((a c) b) ((a c) b)")
+    assert out.steps_used == 3 and not out.exhausted
+
+
 def test_freshness_skips_taken_names():
     r = Rewriter()
     body = Apply(Atom("g0"), FreeVar("x"))
@@ -104,10 +114,18 @@ def test_definition_name_cannot_occur_in_body():
         r.define("g", "x", Apply(Atom("g"), FreeVar("x")))
 
 
+def _instantiate(body, arg):
+    """One rewrite of g arg under g x = body: the template of body with arg for x."""
+    r = Rewriter()
+    g = r.define("g", "x", body)
+    out = reduce(Apply(g, arg), r, 1)
+    assert out.steps_used == 1
+    return out.term
+
+
 def test_substitution_is_capture_free():
     body = Apply(Atom("x"), FreeVar("x"))
-    out = substitute_term(body, "x", Atom("c"))
-    assert out == Apply(Atom("x"), Atom("c"))
+    assert _instantiate(body, Atom("c")) == Apply(Atom("x"), Atom("c"))
 
 
 def test_determinism():
@@ -198,6 +216,21 @@ def test_fixed_point_tower_of_5000():
     assert node == t
 
 
+def test_tower_levels_share_the_definition_s_F():
+    # a 2000-atom F is searched once, not once per level, and never copied
+    r = Rewriter()
+    F = parse_term(" ".join(f"a{i}" for i in range(2000)))
+    t = fixed_point(F, r)
+    assert r.defs[t.left.name].body.left is F
+    out = reduce(t, r, 2000)
+    assert out.steps_used == 2000 and out.exhausted
+    node = out.term
+    for _ in range(2000):
+        assert node.left is F
+        node = node.right
+    assert node == t
+
+
 def test_projection_chain_steps_back_up():
     # I I I ... I a nests to the left; each rewrite leaves the defined atom I
     # as a left child, so its parent is the next redex
@@ -260,6 +293,33 @@ def _terms(names, var=None):
 
 def _count_leaf(t, name):
     return str(t).replace("(", " ").replace(")", " ").split().count(name)
+
+
+def _bodies(names):
+    """Bodies over names and x, with some subterm objects shared at two places."""
+    leaves = [Atom(n) for n in names] + [FreeVar("x")]
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda c: st.one_of(st.builds(Apply, c, c), c.map(lambda s: Apply(s, s))),
+        max_leaves=8,
+    )
+
+
+_X, _SX, _SA = FreeVar("x"), Apply(FreeVar("x"), Atom("a")), Apply(Atom("a"), Atom("b"))
+
+
+@given(
+    st.one_of(st.just(FreeVar("x")), _bodies(["a", "b", "x"])),
+    _terms(["a", "b", "g", "x"]),
+)
+@example(_X, Apply(Atom("g"), Atom("x")))  # the bare variable
+@example(Apply(Apply(_X, Atom("a")), Apply(Atom("b"), _X)), Atom("c"))  # x on both sides
+@example(Apply(_SX, Apply(_SX, Atom("b"))), Atom("c"))  # one body object at two places
+@example(Apply(_SA, Apply(_X, _SA)), _SA)  # a shared var-free part, also as the argument
+def test_template_instance_matches_model_substitution(body, arg):
+    if not fixpoint.contains_var(body, "x"):
+        body = Apply(body, FreeVar("x"))
+    assert _instantiate(body, arg) == _model_substitute(body, "x", arg)
 
 
 @given(st.data())

@@ -37,6 +37,23 @@ def test_finmap_totality():
         FinMap(AB, BOOL, ("0", "2"))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: FinMap(AB, BOOL, ("0",)), "table must assign a value to every domain element"),
+    (lambda: FinMap(ABC, BOOL, ("0", "2", "3")), "value '2' is outside the codomain"),
+    (lambda: CurriedMap(AB, BOOL, (("0", "0"),)), "one row per domain element required"),
+    (lambda: CurriedMap(AB, BOOL, (("0", "0"), ("0",))), "each row must cover the whole domain"),
+    (lambda: CurriedMap(AB, BOOL, (("0", "0"), ("0", "J"))), "row value outside the base codomain"),
+    (lambda: FinMap.from_dict(ABC, BOOL, {"b": "0"}), "the map assigns no value to a, c"),
+    (lambda: FinMap.from_dict(AB, BOOL, {"a": "0", "b": "1", "z": "0", "y": "1"}),
+     "z, y not in the domain a, b"),
+])
+def test_refusals_name_their_cause(build, message):
+    with pytest.raises(InvalidDefinition) as refused:
+        build()
+    assert refused.value.code == "invalid-definition"
+    assert str(refused.value) == message
+
+
 def test_cantor_pointwise():
     F = CurriedMap(AB, BOOL, (("0", "0"), ("0", "0")))
     C = cantor_diagonal(F, bool_negation())

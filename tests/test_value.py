@@ -117,3 +117,13 @@ def test_derived_state_takes_no_part_in_equality():
     assert core.Category(*spec) == core.Category(*spec)
     assert hash(core.Category(*spec)) == hash(core.Category(*spec))
     assert "_starts" not in repr(core.Category(*spec))
+    # FinSet's member set is derived from its elements: the same set in another order is
+    # another FinSet, and copies rebuild the set
+    assert lawvere.FinSet(("1", "0")) != TF and hash(lawvere.FinSet(("0", "1"))) == hash(TF)
+    for other in (copy.copy(TF), copy.deepcopy(TF), pickle.loads(pickle.dumps(TF))):
+        assert other == TF and other._members == frozenset(("0", "1"))
+    assert "_members" not in repr(TF)
+    # so is ReflexiveDef's template, from its body
+    defs = [fixpoint.ReflexiveDef("g", "x", fixpoint.parse_term("F (x x)", var="x")) for _ in range(2)]
+    assert defs[0] == defs[1] and hash(defs[0]) == hash(defs[1])
+    assert "_spine" not in repr(defs[0]) and "_shared" not in repr(defs[0])
