@@ -9,8 +9,8 @@ an innermost strategy would loop before exposing even one F).
 
 A definition compiles its body once into a template, the nodes above the
 variable; a rewrite builds only those and shares the body's var-free parts,
-such as F, into the result.  One reduction searches each shared part at
-most once, so k steps of the fixed-point tower cost O(|F| + k).
+such as F, into the result, so a step of the fixed-point tower builds two
+nodes whatever the size of F.
 
 Terms print fully parenthesized, "(F (g g))".  The parser accepts either
 spaced multi-character names or dense single-character juxtaposition: text
@@ -236,25 +236,22 @@ def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
     defined atom as a left child: its parent is then the next redex.
     Ancestors are rebuilt on the way up, and only when a child changed.
 
-    An Apply searched completely without a redex is recorded for the rest
-    of the call (by id, holding the object, so the id is not reused) and
-    stepped over when met again: terms are immutable and the definitions
-    do not change during a call.  The var-free parts of a body are shared
-    into every instance, so each is searched at most once.  So k steps cost
-    O(k * spine) plus the new nodes the search passes over, where the spine
-    is the body's nodes above the variable; the fixed-point tower of any F
-    costs O(|F| + k).  Nothing recurses.
+    So k steps build O(k * spine) nodes, where the spine is the body's
+    nodes above the variable, and search the nodes before each redex in
+    normal order.  A var-free part shared into an instance is searched
+    again wherever it is met: the fixed-point tower of F builds two nodes a
+    step but searches F at every level, O(|F| * k) in all.  Nothing
+    recurses.
     """
     r.check_steps(steps)
     defs = r.defs
     path: list[tuple[Apply, bool]] = []
-    searched: dict[int, Apply] = {}  # id -> an Apply whose subterm holds no redex
     focus = t
     used = 0
     while True:
         # advance the focus to the next redex in pre-order, if any
         while True:
-            if type(focus) is Apply and id(focus) not in searched:
+            if type(focus) is Apply:
                 left = focus.left
                 if type(left) is Atom and left.name in defs:
                     break
@@ -269,7 +266,6 @@ def reduce(t: Term, r: Rewriter, steps: int) -> ReduceResult:
                 parent, right = path.pop()
                 if right:
                     focus = parent if focus is parent.right else Apply(parent.left, focus)
-                    searched[id(focus)] = focus
                     continue
                 if focus is not parent.left:
                     parent = Apply(focus, parent.right)
