@@ -19,6 +19,7 @@ containing no spaces, like "a((bx)x)", is read one character at a time.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from .errors import InvalidDefinition, VarNotFree
@@ -178,12 +179,15 @@ class Rewriter:
         self.fuel = fuel
         self.defs: dict[str, ReflexiveDef] = {}
         self._counter = 0
+        self._taken: set[str] = set()  # every defined name and every atom of a body
 
     def define(self, name: str, var: str, body: Term) -> Atom:
         """Install a definition under an explicit name."""
         if name in self.defs:
             raise InvalidDefinition(f"{name!r} is already defined")
         self.defs[name] = ReflexiveDef(name, var, body)
+        self._taken.add(name)
+        self._taken |= atom_names(body)
         return Atom(name)
 
     def check_steps(self, steps: int) -> None:
@@ -192,13 +196,11 @@ class Rewriter:
             raise InvalidDefinition(f"requested {steps} steps but the fuel budget is {self.fuel}")
 
     def fresh_name(self, avoid: set[str]) -> str:
-        taken = set(self.defs) | avoid
-        for d in self.defs.values():
-            taken |= atom_names(d.body)
+        """The next unused g<k>: no defined name, no atom of a body, nothing in avoid."""
         while True:
             candidate = f"g{self._counter}"
             self._counter += 1
-            if candidate not in taken:
+            if candidate not in self._taken and candidate not in avoid:
                 return candidate
 
 
@@ -303,30 +305,24 @@ def check_fixed_point(F: Term, r: Rewriter) -> bool:
 # --- parsing ---
 
 
+_BAD_CHAR = re.compile(r"[^\w\s()]")  # \w is str.isalnum() or "_", \s is str.isspace()
+
+
 def _tokenize(text: str) -> list[str]:
-    dense = " " not in text and "\t" not in text
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            if dense:
-                tokens.append(ch)
-                i += 1
-            else:
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-        else:
-            raise InvalidDefinition(f"unexpected character {ch!r} in term")
-    return tokens
+    """The parentheses and names of text, in order; whitespace separates.
+
+    A name is a run of letters, digits and underscores, or a single one of
+    them in dense text, which has no space or tab.  One search refuses the
+    first character that is none of these; str methods then cut the
+    tokens, split around parentheses padded with spaces, or, in dense text,
+    one character each once the whitespace is dropped.
+    """
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise InvalidDefinition(f"unexpected character {bad.group()!r} in term")
+    if " " in text or "\t" in text:
+        return text.replace("(", " ( ").replace(")", " ) ").split()
+    return list("".join(text.split()))
 
 
 def parse_term(text: str, var: str | None = None) -> Term:
@@ -339,6 +335,7 @@ def parse_term(text: str, var: str | None = None) -> Term:
         raise InvalidDefinition("empty term")
     outer: list[Term | None] = []  # the enclosing sequences, read so far
     term: Term | None = None  # the innermost open sequence, read so far
+    leaves: dict[str, Term] = {}  # one Atom or FreeVar per distinct name, shared
     for tok in tokens:
         if tok == "(":
             outer.append(term)
@@ -351,7 +348,9 @@ def parse_term(text: str, var: str | None = None) -> Term:
                 raise InvalidDefinition("trailing tokens in term")
             item, term = term, outer.pop()
         else:
-            item = FreeVar(tok) if tok == var else Atom(tok)
+            item = leaves.get(tok)
+            if item is None:
+                item = leaves[tok] = FreeVar(tok) if tok == var else Atom(tok)
         term = item if term is None else Apply(term, item)
     if outer:
         raise InvalidDefinition("unbalanced parentheses in term")

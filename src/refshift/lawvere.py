@@ -213,8 +213,13 @@ def three_valued_diagonal_analysis(F: CurriedMap) -> DiagonalReport:
 
 
 def all_curried_maps(dom: FinSet, cod_base: FinSet):
-    """Every curried map dom -> [dom, cod_base], for exhaustive desk-scale checks."""
+    """Every curried map dom -> [dom, cod_base], for exhaustive desk-scale checks.
+
+    The |cod_base|^n possible rows are built once, and each table is a
+    choice of n of them; the tables come in the order of their n * n cells
+    read row by row, the first cell varying slowest.
+    """
     n = len(dom.elements)
-    for cells in itertools.product(cod_base.elements, repeat=n * n):
-        rows = tuple(cells[i * n : (i + 1) * n] for i in range(n))
-        yield CurriedMap(dom, cod_base, rows)
+    rows = tuple(itertools.product(cod_base.elements, repeat=n))
+    for table in itertools.product(rows, repeat=n):
+        yield CurriedMap(dom, cod_base, table)

@@ -117,15 +117,19 @@ def _sweep(printable: frozenset[str]) -> tuple[list[str], dict[str, list[str]]]:
 
     Returns the printed falsehoods, and the printed true positive claims
     (P.../R...) indexed by their subject: the claims that become false if
-    that subject is no longer printed.
+    that subject is no longer printed.  Each string's kind is read from
+    `_KINDS` in the loop itself, as `_claim` reads it, without a call or a
+    tuple per string.
     """
     false: list[str] = []
     claims: dict[str, list[str]] = {}
+    kinds = _KINDS
     for s in printable:
-        claim = _claim(s)
-        if claim is None:
+        kind = kinds.get(s[:2] if s[:1] == "~" else s[:1])
+        if kind is None:
             continue
-        subject, positive = claim
+        size, doubles, positive = kind
+        subject = s[size:] * 2 if doubles else s[size:]
         if (subject in printable) != positive:
             false.append(s)
         elif positive:
@@ -152,15 +156,14 @@ def make_truthful(m: MachineModel) -> MachineModel:
     collects the first round's falsehoods and indexes the true positive
     claims by subject, and a worklist discards the claims about each
     discarded string, transitively: O(total string length), however many
-    rounds the defining process takes.
+    rounds the defining process takes.  The discard list grows while it is
+    walked, each string joins it at most once (a claim has one subject), and
+    one set difference removes them all.
     """
-    todo, claims = _sweep(m.printable)
-    printable = set(m.printable)
-    while todo:
-        s = todo.pop()
-        printable.remove(s)
-        todo += claims.pop(s, ())
-    return MachineModel(frozenset(printable))
+    gone, claims = _sweep(m.printable)
+    for s in gone:
+        gone += claims.pop(s, ())
+    return MachineModel(m.printable.difference(gone))
 
 
 SELF_REFUTER = "~R~R"

@@ -97,6 +97,29 @@ def test_freshness_skips_taken_names():
     assert g.name not in fixpoint.atom_names(body)
 
 
+def test_fresh_names_keep_their_order():
+    r = Rewriter()
+    r.define("g1", "x", Apply(Atom("g3"), FreeVar("x")))
+    names = [fixed_point(Atom("F"), r).left.name for _ in range(3)]
+    names.append(reflexive_name(Apply(Atom("g6"), FreeVar("x")), "x", r).name)
+    assert names == ["g0", "g2", "g4", "g5"]
+    assert fixed_point(Atom("F"), r).left.name == "g7"
+
+
+def test_fresh_name_walks_no_earlier_body(monkeypatch):
+    # naming n maps on one rewriter walks each body a fixed number of times, not n
+    walks = []
+    atom_names = fixpoint.atom_names
+    monkeypatch.setattr(fixpoint, "atom_names", lambda t: walks.append(t) or atom_names(t))
+    r = Rewriter()
+    per_call = []
+    for i in range(20):
+        before = len(walks)
+        fixed_point(Atom(f"F{i}"), r)
+        per_call.append(len(walks) - before)
+    assert per_call == [per_call[0]] * 20
+
+
 def test_definition_name_cannot_occur_in_body():
     r = Rewriter()
     with pytest.raises(InvalidDefinition):
@@ -141,6 +164,73 @@ def test_parse_errors():
         parse_term("")
     with pytest.raises(InvalidDefinition):
         parse_term("a)b")
+
+
+def _model_tokenize(text):
+    """The character loop that _tokenize replaced, kept as its model."""
+    dense = " " not in text and "\t" not in text
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch.isalnum() or ch == "_":
+            if dense:
+                tokens.append(ch)
+                i += 1
+            else:
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                tokens.append(text[i:j])
+                i = j
+        else:
+            raise InvalidDefinition(f"unexpected character {ch!r} in term")
+    return tokens
+
+
+# names: ASCII and non-ASCII letters and digits (superscript two, Arabic-Indic
+# three, Roman twelve); whitespace: ASCII, no-break, em, ideographic, the
+# separators \x1c and \x85; bad: punctuation, zero-width space, a combining accent
+_NAME_CHARS = "aZ09_\xe9\xdf\u03bb\xb2\u0663\u216b"
+_SPACE_CHARS = " \t\n\r\x0b\x0c\xa0\u2003\u3000\x1c\x85"
+_BAD_CHARS = "+-*#.\\\u200b\u0301"
+
+
+def _term_texts(chars):
+    parts = st.one_of(st.text(alphabet=chars, max_size=4), st.sampled_from(["(", ")", "()"]))
+    return st.lists(parts, max_size=12).map("".join)
+
+
+@given(st.one_of(
+    _term_texts("()" + _NAME_CHARS + _SPACE_CHARS),  # spaced
+    _term_texts("()" + _NAME_CHARS + _SPACE_CHARS.replace(" ", "").replace("\t", "")),  # dense
+    _term_texts("()" + _NAME_CHARS + _SPACE_CHARS + _BAD_CHARS),
+    _term_texts("()" + _NAME_CHARS + "\n\xa0" + _BAD_CHARS),
+))
+@example("a_1 (b\xb2 \u0663c)\u3000d")
+@example("ab\n(c\xa0d)")  # dense: a newline or a no-break space does not make text spaced
+@example("ab\t(cd)")  # a tab alone makes text spaced
+@example("(a b)+c#")  # the first bad character is named
+def test_tokenize_matches_the_character_loop(text):
+    try:
+        want = _model_tokenize(text)
+    except InvalidDefinition as refused:
+        with pytest.raises(InvalidDefinition) as got:
+            fixpoint._tokenize(text)
+        assert str(got.value) == str(refused)
+    else:
+        assert fixpoint._tokenize(text) == want
+
+
+def test_parse_shares_one_leaf_per_name():
+    t = parse_term("(x a) (a x)", var="x")
+    assert t.left.left is t.right.right and type(t.left.left) is FreeVar
+    assert t.left.right is t.right.left and t.left.right == Atom("a")
 
 
 terms = st.recursive(

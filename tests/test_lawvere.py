@@ -153,6 +153,21 @@ def test_three_valued_exhaustive_two_elements():
     assert witnessed >= 1
 
 
+def _model_curried_tables(dom, cod_base):
+    """The tables of all_curried_maps as one flat n * n-cell product, cut into rows."""
+    n = len(dom.elements)
+    return [tuple(cells[i * n : (i + 1) * n] for i in range(n))
+            for cells in itertools.product(cod_base.elements, repeat=n * n)]
+
+
+@pytest.mark.parametrize("n,cod_base", [(n, BOOL) for n in range(4)] + [(n, TRI) for n in range(3)])
+def test_all_curried_maps_match_the_flat_product(n, cod_base):
+    dom = FinSet(tuple("abc"[:n]))
+    maps = list(all_curried_maps(dom, cod_base))
+    assert [F.rows for F in maps] == _model_curried_tables(dom, cod_base)
+    assert all(type(F) is CurriedMap and F.dom == dom and F.cod_base == cod_base for F in maps)
+
+
 def test_three_valued_reduces_to_cantor_without_j():
     X = AB
     for rows in itertools.product(itertools.product(("0", "1"), repeat=2), repeat=2):

@@ -181,6 +181,27 @@ def test_make_truthful_matches_rounds_oracle(printable, expected):
     assert make_truthful(MachineModel(printable)).printable == expected
 
 
+def _model_sweep(printable):
+    """_sweep's two results, read off _claim one string at a time."""
+    false, claims = [], {}
+    for s in printable:
+        claim = smullyan._claim(s)
+        if claim is None:
+            continue
+        subject, positive = claim
+        if (subject in printable) != positive:
+            false.append(s)
+        elif positive:
+            claims.setdefault(subject, []).append(s)
+    return false, claims
+
+
+@given(st.one_of(talking_universes(), st.frozensets(st.text(alphabet=smullyan.ALPHABET + "X"), max_size=12)))
+@example(frozenset({"", "~", "~~R", "R", "~R", "P", "~P", "RX", "XP"}))
+def test_sweep_agrees_with_claim(printable):
+    assert smullyan._sweep(printable) == _model_sweep(printable)
+
+
 # --- arrow/semantics coherence ---
 
 
