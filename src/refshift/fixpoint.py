@@ -85,30 +85,33 @@ class ReflexiveDef(Value):
     into the result as the body's own object.
     """
 
-    __slots__ = ("_shared", "_spine")
+    __slots__ = ("_shared", "_spine", "_atoms")
 
     def __init__(self, name: str, var: str, body: Term):
         template = _template(body, var)
         if template is None:
             raise VarNotFree(f"variable {var!r} does not occur in the body")
-        if name in atom_names(body):
+        if name in template[2]:
             raise InvalidDefinition(f"definition name {name!r} occurs in its own body")
         setfield(self, "name", name)
         setfield(self, "var", var)
         setfield(self, "body", body)
         setfield(self, "_shared", template[0])
         setfield(self, "_spine", template[1])
+        setfield(self, "_atoms", template[2])
 
 
-def _template(body: Term, var: str) -> tuple[tuple[Term, ...], tuple[tuple[int, int], ...]] | None:
-    """(shared, spine) for body, or None when `var` does not occur in it.
+def _template(body: Term, var: str) -> tuple[tuple[Term, ...], tuple[tuple[int, int], ...], set[str]] | None:
+    """(shared, spine, atom names) for body, or None when `var` does not occur in it.
 
     An instance is built in one list of nodes: slot 0 holds the argument,
     slots 1..len(shared) the var-free children, and each (i, j) of the
     spine appends Apply(nodes[i], nodes[j]); the last node is the instance.
     A subterm that occurs at several places (by identity) gets one slot.
-    A post-order walk without recursion.
+    The same walk, post-order and without recursion, gathers the names of
+    the body's atoms, so a definition walks its body once.
     """
+    atoms: set[str] = set()
     shared: list[Term] = []
     slot_of_shared: dict[int, int] = {}
     spine: list[tuple[int, int]] = []
@@ -136,12 +139,15 @@ def _template(body: Term, var: str) -> tuple[tuple[Term, ...], tuple[tuple[int, 
             continue
         elif type(x) is Apply:
             todo += (x, None, x.right, x.left)
+        elif type(x) is Atom:
+            atoms.add(x.name)
+            slot[id(x)] = None
         else:
             slot[id(x)] = 0 if type(x) is FreeVar and x.name == var else None
     if slot[id(body)] is None:
         return None
     m = len(shared)
-    return tuple(shared), tuple((i if i >= 0 else m - i, j if j >= 0 else m - j) for i, j in spine)
+    return tuple(shared), tuple((i if i >= 0 else m - i, j if j >= 0 else m - j) for i, j in spine), atoms
 
 
 def _tokens(t: Term) -> list:
@@ -185,9 +191,9 @@ class Rewriter:
         """Install a definition under an explicit name."""
         if name in self.defs:
             raise InvalidDefinition(f"{name!r} is already defined")
-        self.defs[name] = ReflexiveDef(name, var, body)
+        d = self.defs[name] = ReflexiveDef(name, var, body)
         self._taken.add(name)
-        self._taken |= atom_names(body)
+        self._taken |= d._atoms
         return Atom(name)
 
     def check_steps(self, steps: int) -> None:
@@ -206,9 +212,10 @@ class Rewriter:
 
 def reflexive_name(body: Term, var: str, r: Rewriter) -> Atom:
     """Name a one-variable map with a fresh atom and install its rewrite."""
-    if not contains_var(body, var):
+    leaves = _tokens(body)  # one walk for both checks
+    if not any(type(x) is FreeVar and x.name == var for x in leaves):
         raise VarNotFree(f"variable {var!r} does not occur in the body")
-    name = r.fresh_name(atom_names(body))
+    name = r.fresh_name({x.name for x in leaves if type(x) is Atom})
     return r.define(name, var, body)
 
 
