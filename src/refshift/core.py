@@ -413,10 +413,6 @@ class ShiftSequence(Value):
     def __len__(self):
         return len(self.arrows)
 
-    @property
-    def final(self) -> RefArrow:
-        return self.arrows[-1]
-
 
 def concat(f: Word, g: Word) -> Word:
     """The free composite fg ("f after g"), not normalized; requires cod(g) == dom(f)."""

@@ -165,14 +165,6 @@ def _tokens(t: Term) -> list:
     return out
 
 
-def atom_names(t: Term) -> set[str]:
-    return {x.name for x in _tokens(t) if type(x) is Atom}
-
-
-def contains_var(t: Term, var: str) -> bool:
-    return any(type(x) is FreeVar and x.name == var for x in _tokens(t))
-
-
 class Rewriter:
     """A mutable registry of definitions with a reduction fuel budget.
 

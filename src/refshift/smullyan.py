@@ -56,14 +56,14 @@ class MachineModel(Value):
         setfield(self, "printable", frozenset(printable))
 
 
-# kind -> (prefix length, the subject doubles the body, asserted printable):
-# P/~P talk about X itself, R/~R about the doubling XX; the ~ forms assert
+# kind -> (the subject doubles the body, asserted printable): P/~P talk
+# about X itself, R/~R about the doubling XX; the ~ forms assert
 # unprintability
 _KINDS = {
-    "P": (1, False, True),
-    "~P": (2, False, False),
-    "R": (1, True, True),
-    "~R": (2, True, False),
+    "P": (False, True),
+    "~P": (False, False),
+    "R": (True, True),
+    "~R": (True, False),
 }
 
 
@@ -76,11 +76,11 @@ def _split(s: str) -> tuple[str, str] | None:
 def _claim(s: str) -> tuple[str, bool] | None:
     """(subject, asserted_printable) for an interpretable string, else None:
     the string whose printability s asserts, and whether it asserts it."""
-    kind = _KINDS.get(s[:2] if s[:1] == "~" else s[:1])
-    if kind is None:
+    split = _split(s)
+    if split is None:
         return None
-    size, doubles, positive = kind
-    body = s[size:]
+    kind, body = split
+    doubles, positive = _KINDS[kind]
     return (body + body if doubles else body), positive
 
 
@@ -117,19 +117,20 @@ def _sweep(printable: frozenset[str]) -> tuple[list[str], dict[str, list[str]]]:
 
     Returns the printed falsehoods, and the printed true positive claims
     (P.../R...) indexed by their subject: the claims that become false if
-    that subject is no longer printed.  Each string's kind is read from
-    `_KINDS` in the loop itself, as `_claim` reads it, without a call or a
-    tuple per string.
+    that subject is no longer printed.  Each string is read in the loop
+    itself, by the rule of `_split` and `_claim`, without calling them or
+    building a tuple per string.
     """
     false: list[str] = []
     claims: dict[str, list[str]] = {}
     kinds = _KINDS
     for s in printable:
-        kind = kinds.get(s[:2] if s[:1] == "~" else s[:1])
-        if kind is None:
+        kind = s[:2] if s[:1] == "~" else s[:1]
+        claim = kinds.get(kind)
+        if claim is None:
             continue
-        size, doubles, positive = kind
-        subject = s[size:] * 2 if doubles else s[size:]
+        doubles, positive = claim
+        subject = s[len(kind):] * 2 if doubles else s[len(kind):]
         if (subject in printable) != positive:
             false.append(s)
         elif positive:

@@ -514,6 +514,15 @@ def test_fuel_zero_is_honoured(capsys, tmp_path):
     assert message.endswith("exceeded the budget of 10000 steps")
 
 
+def test_a_placeholder_rule_fires_and_terminates(capsys, tmp_path):
+    # # ?a => ?a ?a is #a = aa, so the lambda shift turns g -> F# into gg -> F(gg)
+    cat = tmp_path / "sharp.cat"
+    cat.write_text("object O\nsharp # : O\ngenerator g : O -> O\ngenerator F : O -> O\nrule # ?a => ?a ?a\n")
+    code, payload, _ = invoke_json(capsys, "shift", "g -> F #", "--category", str(cat), "--lambda-pair")
+    assert code == 0
+    assert (payload["result"]["arrow"], payload["result"]["rule"]) == ("gg -> Fgg", "shift-lambda")
+
+
 def test_an_identity_placeholder_rule_takes_no_step(capsys, tmp_path):
     # ?a => ?a never makes progress, so even no fuel at all is enough
     cat = tmp_path / "still.cat"
@@ -701,6 +710,22 @@ FAILURES = {
                           "invalid-definition", "unknown generator 'x'"),
     "unknown-object": (["shift", "1_Q -> 1_O", "--base", "simplest"], "",
                        "invalid-definition", "unknown object 'Q'"),
+    # a second separator stays in the last field, which then names nothing known
+    "arrow-with-two-arrows": (["shift", "1_O -> 1_O -> 1_O", "--base", "simplest"], "",
+                              "invalid-definition", "unknown object 'O -> 1_O'"),
+    "generator-with-two-arrows": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator a : O -> O -> O\n",
+                                  "invalid-definition", "generator a: O -> O -> O uses unknown objects"),
+    "generator-with-two-colons": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator a : b : O -> O\n",
+                                  "invalid-definition", "generator a: b : O -> O uses unknown objects"),
+    "sharp-with-two-colons": (SHIFT_PAIR_FILE, PAIR_HEAD + "sharp % : O : O\n",
+                              "invalid-definition", "generator %: O : O -> O : O uses unknown objects"),
+    "rule-with-two-arrows": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator u : O -> O\nrule u => u => u\n",
+                             "invalid-definition", "rule u => u => u names no generator '=>'"),
+    "chain-mismatch": (["shift", "f f -> f", "--category", "FILE"], "object A B\ngenerator f : A -> B\n",
+                       "chain-mismatch", "generators f:A->B and f:A->B do not chain"),
+    "fuel-zero-no-steps": (["lambda", "reduce", "F", "--fuel", "0", "--steps", "0"], "", "ok", None),
+    "fuel-zero-one-step": (["lambda", "reduce", "F", "--fuel", "0", "--steps", "1"], "",
+                           "invalid-definition", "requested 1 steps but the fuel budget is 0"),
 }
 
 

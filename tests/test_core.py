@@ -260,7 +260,7 @@ def test_iterate_stops_across_objects():
     seq = iterate_shift(pair, r, 2)
     assert len(seq) == 1
     assert seq.stop_reason == "not-composable"
-    assert seq.final.src.gens == (cat.sharp_at("X"), cat.generator("g"))
+    assert seq.arrows[-1].src.gens == (cat.sharp_at("X"), cat.generator("g"))
 
 
 def test_iterate_stops_on_two_node_graph():
@@ -407,7 +407,7 @@ def test_a_base_without_rules_never_normalizes(monkeypatch):
     for pair, text in cases:
         arrow = parse_arrow(pair, text)
         assert len(iterate_shift(pair, arrow, 6)) == 6
-        assert shift_step(pair, arrow)[0] == iterate_shift(pair, arrow, 1).final
+        assert shift_step(pair, arrow)[0] == iterate_shift(pair, arrow, 1).arrows[-1]
 
 
 def test_rewrite_budget_runs_out_partway_through_a_sequence():
@@ -825,7 +825,7 @@ def test_run_of_non_self_generator_does_not_chain():
 def test_iterate_simplest_stays_one_run():
     pair = core.simplest_pair()
     n = 20_000
-    final = iterate_shift(pair, parse_arrow(pair, "1_O -> 1_O"), n).final
+    final = iterate_shift(pair, parse_arrow(pair, "1_O -> 1_O"), n).arrows[-1]
     assert str(final) == f"#^{n} -> #^{n * (n - 1) // 2}"
     assert len(final.src.runs) == 1 and len(final.dst.runs) == 1
     assert len(final.dst) == 199_990_000
@@ -836,7 +836,7 @@ def test_iterate_russell_runs():
     pair = core.russell_pair()
     start = srt1(pair, parse_arrow(pair, "R -> ~#")).final
     n = 2000
-    final = iterate_shift(pair, start, n).final
+    final = iterate_shift(pair, start, n).arrows[-1]
     runs = [(g.name, count) for g, count in final.dst.runs]
     assert len(runs) == 2 * n + 3
     assert runs == [("~", 1), ("#", 1), ("R", 1)] + [
@@ -961,7 +961,7 @@ def test_normalize_leaves_a_word_no_rule_starts_in_o_runs():
     cat = UV_SHARP.base
     word = Word.from_runs([(cat.sharp_at("O"), 10**12)], "O", "O")
     assert cat.normalize(word) is word
-    final = iterate_shift(UV_SHARP, parse_arrow(UV_SHARP, "1_O -> 1_O"), 2000).final
+    final = iterate_shift(UV_SHARP, parse_arrow(UV_SHARP, "1_O -> 1_O"), 2000).arrows[-1]
     assert str(final) == "#^2000 -> #^1999000"
 
 

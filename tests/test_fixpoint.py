@@ -18,6 +18,18 @@ from refshift.fixpoint import (
 )
 
 
+def _leaves(t):
+    """The Atom and FreeVar leaves of t, by an explicit stack, since t may be deep."""
+    todo, leaves = [t], []
+    while todo:
+        x = todo.pop()
+        if type(x) is Apply:
+            todo += (x.left, x.right)
+        else:
+            leaves.append(x)
+    return leaves
+
+
 def test_reflexive_name_installs_rule():
     r = Rewriter()
     body = parse_term("a((bx)x)", var="x")
@@ -80,6 +92,15 @@ def test_reduce_respects_fuel():
         reduce(Atom("a"), r, 4)
 
 
+def test_zero_fuel_allows_zero_steps():
+    r = Rewriter(fuel=0)
+    t = Apply(Atom("F"), Atom("a"))
+    out = reduce(t, r, 0)
+    assert (out.term, out.steps_used, out.exhausted) == (t, 0, False)
+    with pytest.raises(InvalidDefinition, match="requested 1 steps but the fuel budget is 0"):
+        reduce(t, r, 1)
+
+
 def test_normal_order_is_leftmost_outermost():
     r = Rewriter()
     r.define("d", "x", Apply(FreeVar("x"), FreeVar("x")))
@@ -94,7 +115,7 @@ def test_freshness_skips_taken_names():
     body = Apply(Atom("g0"), FreeVar("x"))
     g = reflexive_name(body, "x", r)
     assert g.name != "g0"
-    assert g.name not in fixpoint.atom_names(body)
+    assert Atom(g.name) not in _leaves(body)
 
 
 def test_fresh_names_keep_their_order():
@@ -318,8 +339,7 @@ def test_deep_term_round_trips():
     same = parse_term(text)  # shares no node with t
     assert t == same and hash(t) == hash(same) and repr(t) == f"Apply{text}"
     assert t != parse_term(text.replace("a", "d"))
-    assert fixpoint.atom_names(t) == {"a", "b", "c"}
-    assert not fixpoint.contains_var(t, "x")
+    assert set(_leaves(t)) == {Atom("a"), Atom("b"), Atom("c")}
 
 
 # --- the stack-based reduce against a recursive, restart-from-the-root model ---
@@ -384,7 +404,7 @@ _X, _SX, _SA = FreeVar("x"), Apply(FreeVar("x"), Atom("a")), Apply(Atom("a"), At
 @example(Apply(_SX, Apply(_SX, Atom("b"))), Atom("c"))  # one body object at two places
 @example(Apply(_SA, Apply(_X, _SA)), _SA)  # a shared var-free part, also as the argument
 def test_template_instance_matches_model_substitution(body, arg):
-    if not fixpoint.contains_var(body, "x"):
+    if FreeVar("x") not in _leaves(body):
         body = Apply(body, FreeVar("x"))
     assert _instantiate(body, arg) == _model_substitute(body, "x", arg)
 
