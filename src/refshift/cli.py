@@ -235,12 +235,12 @@ def _godel_decode(godel, args):
 
 
 def _self_refuter(godel, args):
-    number, formula = godel.build_self_refuter()
-    result, _ = _number(number)
-    result.update(formula=str(formula), verified=True)
+    derivation = godel.self_refuter_derivation()
+    result, _ = _number(derivation.final.src.number)
+    result.update(formula=str(derivation.final.dst), verified=True)
     lines = [f"number:  {result['number']}", f"formula: {result['formula']}",
              "verified: the formula's code is the number it talks about"]
-    return result, lines
+    return result, lines, derivation
 
 
 def _lawvere(lawvere, args):

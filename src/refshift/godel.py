@@ -254,7 +254,7 @@ class Num(Value):
         setfield(self, "number", number)
 
     def __str__(self):
-        return self.number.wire()
+        return str(self.number)
 
 
 class SharpOp(Value):
@@ -382,16 +382,23 @@ def reference_pair(axioms: Iterable[tuple[GodelNumber, Formula]]) -> GodelPair:
 SELF_REFUTER_SEED = 341752  # code of ~P(#x)
 
 
-def build_self_refuter() -> tuple[GodelNumber, Formula]:
-    """The formula asserting its own code's unprintability, with that code.
+def self_refuter_derivation() -> Derivation:
+    """srt1 of the axiom (341752 -> ~P(#x)) in the coding category.
 
-    Sharp the code of ~P(#x); decoding the result gives ~P(# |^341752),
-    whose code is the very number that was decoded.  The round trip is
-    verified on run-length form without materializing digits.
+    The shift takes 341752 to its sharp and ~P(#x) to ~P(# |^341752), whose
+    code is that very sharp, so the final arrow is the self-refuter.  The
+    round trip is verified on run-length form without materializing digits.
     """
-    seed = GodelNumber.from_int(SELF_REFUTER_SEED)
-    number = sharp_decimal(seed)
-    formula = decode(number)
-    if encode(formula) != number:
+    pair = reference_pair([(GodelNumber.from_int(SELF_REFUTER_SEED), parse("~P(#x)"))])
+    derivation = pair.srt1(pair.axioms[0])
+    final = derivation.final
+    if encode(final.dst.formula) != final.src.number:
         raise AssertionError("self-refuter round trip failed")
-    return number, formula
+    return derivation
+
+
+def build_self_refuter() -> tuple[GodelNumber, Formula]:
+    """The formula asserting its own code's unprintability, with that code:
+    the final arrow of self_refuter_derivation()."""
+    final = self_refuter_derivation().final
+    return final.src.number, final.dst.formula

@@ -38,9 +38,6 @@ class FinSet(Value):
         except ValueError:
             raise InvalidDefinition(f"label {label!r} is not in {self.elements}") from None
 
-    def __len__(self):
-        return len(self.elements)
-
     def __iter__(self):
         return iter(self.elements)
 

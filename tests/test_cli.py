@@ -386,6 +386,12 @@ TRACED = {
                            for rule, src, dst in [("axiom", "1_O", "F"), ("shift", "#", "F"),
                                                   ("shift", "##", "F#"), ("shift", "###", "F###"),
                                                   ("shift", "#^4", "F#^6")]]}),
+    "self-refuter": ("number:  3417 6x341752 2\nformula: ~P(#|^341752)\n"
+                     "verified: the formula's code is the number it talks about\n"
+                     "trace 1. [axiom] 341752 -> ~P(#x)\ntrace 2. [shift] 3417 6x341752 2 -> ~P(#|^341752)\n",
+                     {"steps": [{"dst_word": "~P(#x)", "note": "", "rule": "axiom", "src_word": "341752"},
+                                {"dst_word": "~P(#|^341752)", "note": "", "rule": "shift",
+                                 "src_word": "3417 6x341752 2"}]}),
     "smullyan report": (
         "".join(f"{i}. {note}\n" for i, note in enumerate(REPORT_NOTES, 1))
         + "".join(f"trace {i}. [{s['rule']}] ~R~R -> ~P[~R~R]  ({s['note']})\n"
@@ -784,7 +790,8 @@ def loaded_modules(tmp_path, code, *argv):
     (["reflexive", "build", "--builtin", "link"], ["core", "reflexive", "runs", "value", "dataclasses"]),
     (["--help"], []),
     (["godel-sharp", "34152"], ["godel", "runs", "value"]),
-    (["self-refuter"], ["godel", "runs", "value"]),
+    # the self-refuter is srt1 in the Goedel pair, and the shift lives in core
+    (["self-refuter"], ["core", "godel", "runs", "value", "dataclasses"]),
 ])
 def test_a_command_loads_only_its_engine(tmp_path, argv, engines):
     (tmp_path / "bool.json").write_text('{"elements": ["a", "b"], "z_elements": ["0", "1"], '

@@ -98,6 +98,7 @@ def test_word_str_run_length():
     assert str(Word((), "O", "O")) == "1_O"
     long_name = Generator("#Z", "O", "O")
     assert str(Word.from_generators((long_name, a))) == "#Z a"
+    assert (str(sharp), str(long_name)) == ("#", "#Z")
 
 
 # --- composable references and the shift ---

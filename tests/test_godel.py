@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from refshift import godel
+from refshift.core import RefArrow
 from refshift.godel import (
     SHARP,
     Fml,
@@ -351,6 +352,7 @@ def test_formal_composites_flatten():
     a, b, c = Fml(parse("P")), Num(gn(666)), SHARP
     nested = compose_morphisms(compose_morphisms(a, b), c)
     assert nested == FormalComposite((a, b, c))
+    assert str(nested) == "P o 6x3 o #"
     assert nested == compose_morphisms(a, compose_morphisms(b, c))
 
 
@@ -377,8 +379,16 @@ def test_substitution_coherence(prefix, suffix, var_count, seed):
 # --- the self-refuter ---
 
 
+def hand_built_self_refuter():
+    """The self-refuter built by hand, as an oracle for the srt1 route: sharp the
+    code of ~P(#x), and decode the result."""
+    number = sharp_decimal(gn(341752))
+    return number, decode(number)
+
+
 def test_build_self_refuter():
     number, formula = build_self_refuter()
+    assert (number, formula) == hand_built_self_refuter()
     assert number.runs == ((3, 1), (4, 1), (1, 1), (7, 1), (6, 341752), (2, 1))
     assert number.digit_length == 341757
     assert formula.runs == (("~", 1), ("P", 1), ("(", 1), ("#", 1), ("|", 341752), (")", 1))
@@ -406,7 +416,7 @@ def test_reference_pair_srt1_self_description():
     derivation = pair.srt1(pair.axioms[0])
     assert [s.rule for s in derivation.steps] == ["axiom", "shift"]
     final = derivation.final
-    number, formula = build_self_refuter()
+    number, formula = hand_built_self_refuter()
     assert final.src == Num(number)
     assert final.dst == Fml(formula)
 
@@ -421,6 +431,18 @@ def test_reference_pair_shift_needs_variable():
     pair = reference_pair([(gn(666), parse("|||"))])
     with pytest.raises(NotComposable):
         pair.shift(pair.axioms[0])
+
+
+def test_reference_pair_shift_needs_number_to_formula():
+    pair = reference_pair([(gn(34152), parse("~P(x)"))])
+    with pytest.raises(NotComposable, match=r"the shift applies to \(number -> formula\) arrows"):
+        pair.shift(RefArrow(Fml(parse("~P(x)")), Num(gn(34152))))
+
+
+def test_reference_pair_srt1_needs_formula_target():
+    pair = reference_pair([(gn(34152), parse("~P(x)"))])
+    with pytest.raises(NotSrt1Shape, match="expected a formula target"):
+        pair.srt1(RefArrow(Num(gn(34152)), Num(gn(34152))))
 
 
 # formulas of at most five symbols, so codes stay below 10**5
