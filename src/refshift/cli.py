@@ -402,15 +402,20 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command. Rows that share a command share its parser and are
+def build_parser(argv) -> argparse.ArgumentParser:
+    """One subparser per command, each listed with its help, but only the first command
+    that argv names gets its arguments. Rows that share a command share its parser and are
     chosen by ``action``; there each row's positionals are optional, and ``run`` checks them."""
     parser = _Parser(prog="refshift",
                      description="Categorical pairs, the indicative shift, and four self-reference engines.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in dict.fromkeys(key.partition(" ")[0] for key in COMMANDS):
+    names = dict.fromkeys(key.partition(" ")[0] for key in COMMANDS)
+    chosen = next((token for token in argv if token in names), None)
+    for name in names:
         rows = {k.partition(" ")[2]: row for k, row in COMMANDS.items() if k.partition(" ")[0] == name}
         p = sub.add_parser(name, help=GROUPS.get(name) or rows[""].help)
+        if name != chosen:
+            continue
         p.set_defaults(usage_error=p.error)
         specs = {flag: kwargs for row in rows.values() for flag, kwargs in OUTPUT + row.args}
         if "" not in rows:
@@ -426,7 +431,7 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     as_json = "--json" in argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         as_json = args.json
         row = COMMANDS[f"{args.command} {args.action}" if "action" in args else args.command]
         missing = [n for n, _ in row.args if n[0] != "-" and getattr(args, n) is None]

@@ -3,10 +3,10 @@
 The base level is a category presented by generators and optional rewrite
 rules: morphisms are chainable words of generators, composition is
 concatenation followed by normalization under the rules.  The second level
-consists of reference arrows between those words.  ``shift`` states the
-indicative shift once: a composable (a -> b) becomes (#a -> ba) for the
-sharp # each engine picks: the sharp generator at a's codomain, a itself in
-a lambda pair (#a = aa), or godel's SHARP.  Iterating it yields indirect
+consists of reference arrows between those words.  ``shift``, from
+``value``, turns a composable (a -> b) into (#a -> ba) for the sharp #
+each engine picks: the sharp generator at a's codomain, a itself in a
+lambda pair (#a = aa), or godel's SHARP.  Iterating it yields indirect
 self-reference; srt1 packages the one-step derivation (g -> F#) => (#g -> F#g).
 
 Words are stored outermost-first: the word F#g means F after # after g, so
@@ -34,7 +34,7 @@ from .errors import (
     RewriteBudgetExceeded,
 )
 from .runs import merge_runs, parse, parse_token, render, runs_of
-from .value import Value, setfield
+from .value import Derivation, DerivationStep, RefArrow, Value, setfield, shift, shift_derivation
 
 DEFAULT_REWRITE_BUDGET = 10_000
 # placeholder bindings one category compiles its rules to, over all rules; rules
@@ -338,17 +338,6 @@ class Category(Value):
         return self.normalize(u) == self.normalize(v)
 
 
-class RefArrow(Value):
-    """A reference arrow between two morphisms of one base category."""
-
-    def __init__(self, src: Word, dst: Word):
-        setfield(self, "src", src)
-        setfield(self, "dst", dst)
-
-    def __str__(self):
-        return f"{self.src} -> {self.dst}"
-
-
 @dataclass(frozen=True)  # the one dataclass left: perfbench/wl_shift.py copies a pair as a dataclass
 class CategoricalPair:
     """A base category together with reference arrows between its words.
@@ -369,37 +358,6 @@ class CategoricalPair:
                     raise InvalidDefinition(f"arrow {arrow} uses objects outside the base category")
                 if any(g not in gens for g, _ in word.runs):
                     raise InvalidDefinition(f"arrow {arrow} uses generators outside the base category")
-
-
-class DerivationStep(Value):
-    def __init__(self, rule: str, arrow: RefArrow, note: str = ""):
-        setfield(self, "rule", rule)
-        setfield(self, "arrow", arrow)
-        setfield(self, "note", note)
-
-
-class Derivation(Value):
-    """An audit trail of reference arrows, one named inference per step."""
-
-    def __init__(self, steps: Iterable[DerivationStep]):
-        setfield(self, "steps", tuple(steps))
-
-    @property
-    def final(self):
-        return self.steps[-1].arrow
-
-    def to_json(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "rule": s.rule,
-                    "src_word": str(s.arrow.src),
-                    "dst_word": str(s.arrow.dst),
-                    "note": s.note,
-                }
-                for s in self.steps
-            ]
-        }
 
 
 class ShiftSequence(Value):
@@ -438,20 +396,6 @@ def concat(f: Word, g: Word) -> Word:
 def compose(cat: Category, f: Word, g: Word) -> Word:
     """The word fg ("f after g"), normalized; requires cod(g) == dom(f)."""
     return cat.normalize(concat(f, g))
-
-
-def shift(compose, sharp, r: RefArrow) -> RefArrow:
-    """The indicative shift (a -> b) => (#a -> ba) of a composable reference.
-
-    compose(f, g) is "f after g" and sharp is the # at a's codomain; the
-    caller checks that the shift applies.
-    """
-    return RefArrow(compose(sharp, r.src), compose(r.dst, r.src))
-
-
-def shift_derivation(axiom: RefArrow, shifted: RefArrow, rule: str) -> Derivation:
-    """The two-step derivation: the axiom, then its shift under the named rule."""
-    return Derivation((DerivationStep("axiom", axiom), DerivationStep(rule, shifted)))
 
 
 def _shift_plan(pair: CategoricalPair, r: RefArrow) -> tuple[Callable, Word | None, str]:

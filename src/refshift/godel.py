@@ -14,13 +14,14 @@ The sharp operation is self-substitution: sharp(g) composes g with itself,
 giving the code of the decoded formula applied to its own numeral.  Applied
 to the code of ~P(#x) this produces a formula that talks about its own code.
 
-Reference arrows (code -> formula) are core.RefArrows, shifted by core.shift
-with compose_morphisms and SHARP: (g -> F) becomes (#g -> Fg).
+Reference arrows (code -> formula) are value.RefArrows, shifted by value.shift
+with compose_morphisms and SHARP, so no word category is loaded: (g -> F)
+becomes (#g -> Fg).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import (
     EmptyFormula,
@@ -32,10 +33,7 @@ from .errors import (
     NotSrt1Shape,
 )
 from .runs import check_runs, count_text, merge_runs, parse_glued, read_count, render, runs_of
-from .value import Value, setfield
-
-if TYPE_CHECKING:  # core is loaded only to build arrows, so codecs and the sharp skip it
-    from .core import Derivation, RefArrow
+from .value import Derivation, RefArrow, Value, setfield, shift, shift_derivation
 
 ALPHABET = "()~Px|#"
 CHAR_TO_DIGIT = {ch: i + 1 for i, ch in enumerate(ALPHABET)}
@@ -350,7 +348,6 @@ class GodelPair(Value):
 
     def shift(self, arrow: RefArrow) -> RefArrow:
         """(g -> F) becomes (sharp g -> F with g's numeral substituted)."""
-        from .core import shift
         if not isinstance(arrow.src, Num) or not isinstance(arrow.dst, Fml):
             raise NotComposable("the shift applies to (number -> formula) arrows")
         if not arrow.src.number.has_five:
@@ -359,7 +356,6 @@ class GodelPair(Value):
 
     def srt1(self, arrow: RefArrow) -> Derivation:
         """Shift an axiom whose formula mentions #x, yielding self-description."""
-        from .core import shift_derivation
         if not isinstance(arrow.dst, Fml):
             raise NotSrt1Shape("expected a formula target")
         runs = arrow.dst.formula.runs
@@ -370,7 +366,6 @@ class GodelPair(Value):
 
 def reference_pair(axioms: Iterable[tuple[GodelNumber, Formula]]) -> GodelPair:
     """Validate axiom arrows (number must code the formula) and build the pair."""
-    from .core import RefArrow
     checked = []
     for g, f in axioms:
         if encode(f) != g:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Category, Derivation, DerivationStep, Generator, RefArrow, Word
-from .value import Value, setfield
+from .core import Category, Generator, Word
+from .value import Derivation, DerivationStep, RefArrow, Value, setfield
 
 ALPHABET = "~PR[]"
 

@@ -1,6 +1,10 @@
-"""``Value``, the base of the engines' immutable records: generators, arrows, codes, terms, maps."""
+"""``Value``, the base of the engines' immutable records, and the second level they share.
+
+Reference arrows, derivations and the indicative ``shift`` live beside ``Value``,
+so an engine shifts its own morphisms without loading ``core``'s word categories."""
 
 from operator import attrgetter
+from typing import Iterable
 
 # Value.__setattr__ refuses every assignment, so an __init__ stores each field with this, once
 setfield = object.__setattr__
@@ -62,3 +66,59 @@ class Value(metaclass=_ValueType):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RefArrow(Value):
+    """A reference arrow src -> dst between two morphisms of one base category."""
+
+    def __init__(self, src, dst):
+        setfield(self, "src", src)
+        setfield(self, "dst", dst)
+
+    def __str__(self):
+        return f"{self.src} -> {self.dst}"
+
+
+class DerivationStep(Value):
+    def __init__(self, rule: str, arrow: RefArrow, note: str = ""):
+        setfield(self, "rule", rule)
+        setfield(self, "arrow", arrow)
+        setfield(self, "note", note)
+
+
+class Derivation(Value):
+    """An audit trail of reference arrows, one named inference per step."""
+
+    def __init__(self, steps: Iterable[DerivationStep]):
+        setfield(self, "steps", tuple(steps))
+
+    @property
+    def final(self):
+        return self.steps[-1].arrow
+
+    def to_json(self) -> dict:
+        return {
+            "steps": [
+                {
+                    "rule": s.rule,
+                    "src_word": str(s.arrow.src),
+                    "dst_word": str(s.arrow.dst),
+                    "note": s.note,
+                }
+                for s in self.steps
+            ]
+        }
+
+
+def shift(compose, sharp, r: RefArrow) -> RefArrow:
+    """The indicative shift (a -> b) => (#a -> ba) of a composable reference.
+
+    compose(f, g) is "f after g" and sharp is the # at a's codomain; the
+    caller checks that the shift applies.
+    """
+    return RefArrow(compose(sharp, r.src), compose(r.dst, r.src))
+
+
+def shift_derivation(axiom: RefArrow, shifted: RefArrow, rule: str) -> Derivation:
+    """The two-step derivation: the axiom, then its shift under the named rule."""
+    return Derivation((DerivationStep("axiom", axiom), DerivationStep(rule, shifted)))

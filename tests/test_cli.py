@@ -250,6 +250,16 @@ def test_threeval(capsys, tmp_path):
     assert payload["result"]["representations"] == ["x0", "x1"]
 
 
+def test_threeval_without_representation(capsys, tmp_path):
+    # one element with row 0: the diagonal is ~0 = 1, which is no row
+    table = _write_table(tmp_path, [["0"]], ["0", "1", "J"])
+    assert invoke(capsys, "threeval", "--table", table) == (
+        0, "diagonal: 1\nno representation for this table\n", "")
+    code, payload, err = invoke_json(capsys, "threeval", "--table", table)
+    assert (code, err, payload["status"]) == (0, "", "ok")
+    assert payload["result"] == {"diagonal": ["1"], "representations": [], "witnessed": False}
+
+
 def test_lambda_subcommands(capsys):
     code, out, _ = invoke(capsys, "lambda", "fixpoint", "F", "--steps", "2")
     assert code == 0
@@ -454,6 +464,13 @@ def test_usage_errors_are_envelopes(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("usage: refshift shift [-h]")
     assert err.endswith("refshift shift: error: the following arguments are required: arrow\n")
+
+
+def test_the_parser_builds_the_arguments_of_the_named_command_only():
+    # every command is listed with its help whichever is named, but only the named one takes arguments
+    assert cli.build_parser(["shift"]).format_help() == cli.build_parser([]).format_help()
+    with pytest.raises(cli.UsageError, match="^unrecognized arguments: 1_O -> 1_O$"):
+        cli.build_parser(["godel-sharp"]).parse_args(["shift", "1_O -> 1_O"])
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -693,6 +710,10 @@ FAILURES = {
     "definition-repeated": (["lambda", "reduce", "q c", "--define", "q x = x", "--define", "q y = y"], "",
                             "invalid-definition", "'q' is already defined"),
     "empty-parentheses": (["lambda", "reduce", "()"], "", "invalid-definition", "unexpected ')' in term"),
+    "generator-without-name": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator : O -> O\n",
+                               "invalid-definition", "generator name must be nonempty"),
+    "empty-word-spec": (["shift", " -> F", "--base", "next-simplest"], "",
+                        "invalid-definition", "empty word spec; use 1_<object> for an identity"),
     "generator-name-with-caret": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator a^b : O -> O\n",
                                   "invalid-definition", "generator name 'a^b' may not contain spaces or '^'"),
     "generator-unknown-object": (SHIFT_PAIR_FILE, PAIR_HEAD + "generator a : O -> Q\n",
@@ -790,8 +811,10 @@ def loaded_modules(tmp_path, code, *argv):
     (["reflexive", "build", "--builtin", "link"], ["core", "reflexive", "runs", "value", "dataclasses"]),
     (["--help"], []),
     (["godel-sharp", "34152"], ["godel", "runs", "value"]),
-    # the self-refuter is srt1 in the Goedel pair, and the shift lives in core
-    (["self-refuter"], ["core", "godel", "runs", "value", "dataclasses"]),
+    # the self-refuter is srt1 in the Goedel pair; its arrows and the shift live in value, not core
+    (["self-refuter"], ["godel", "runs", "value"]),
+    (["godel-decode", "341752"], ["godel", "runs", "value"]),
+    (["godel-compose", "341752", "34152"], ["godel", "runs", "value"]),
 ])
 def test_a_command_loads_only_its_engine(tmp_path, argv, engines):
     (tmp_path / "bool.json").write_text('{"elements": ["a", "b"], "z_elements": ["0", "1"], '

@@ -680,6 +680,29 @@ def test_category_refuses_a_rule_token_that_names_no_generator(pattern, replacem
         category_from_digraph(["O"], [("u", "O", "O")], rules=(RewriteRule(pattern, replacement),))
 
 
+def _simplest_with_arrow(word):
+    return CategoricalPair(core.simplest_pair().base, (RefArrow(word, word),))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Generator("s", "A", "B", is_sharp=True),
+     "sharp generator s must be a self-morphism, got A -> B"),
+    (lambda: Word.from_generators(()),
+     "from_generators needs at least one generator; use Category.identity"),
+    (lambda: _simplest_with_arrow(Word((), "Q", "Q")),
+     "arrow 1_Q -> 1_Q uses objects outside the base category"),
+    # the simplest base has only the sharp #, so an F from elsewhere is foreign
+    (lambda: _simplest_with_arrow(Word.from_generators([Generator("F", "O", "O")])),
+     "arrow F -> F uses generators outside the base category"),
+    (lambda: category_from_digraph(["O", "O"], []), "duplicate node names"),
+])
+def test_refusals_name_their_cause(build, message):
+    with pytest.raises(InvalidDefinition) as refused:
+        build()
+    assert refused.value.code == "invalid-definition"
+    assert str(refused.value) == message
+
+
 def test_parse_arrow_requires_arrow_syntax():
     pair = core.simplest_pair()
     with pytest.raises(InvalidDefinition):

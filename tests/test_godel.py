@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from refshift import godel
-from refshift.core import RefArrow
 from refshift.godel import (
     SHARP,
     Fml,
@@ -25,6 +24,7 @@ from refshift.godel import (
     substitute,
 )
 from refshift.errors import (
+    DomainError,
     EmptyFormula,
     InvalidAxiom,
     InvalidSymbol,
@@ -33,6 +33,7 @@ from refshift.errors import (
     NotComposable,
     NotSrt1Shape,
 )
+from refshift.value import RefArrow
 
 
 def gn(n: int) -> GodelNumber:
@@ -346,6 +347,19 @@ def test_reassociation_of_sharp_then_number():
     right = compose_morphisms(S, compose_morphisms(SHARP, g))
     assert left == right
     assert left == Fml(Formula((("P", 1), ("(", 1), ("|", sharp_decimal(gn(152)).value()), (")", 1))))
+
+
+@pytest.mark.parametrize("build,code,message", [
+    (lambda: numeral(0), "empty-formula", "numerals start at 1; zero has no slash representation"),
+    (lambda: GodelNumber.from_int(0), "invalid-symbol", "Goedel numbers are positive"),
+    (lambda: FormalComposite((SHARP,)), "invalid-symbol", "a formal composite has at least two factors"),
+    (lambda: FormalComposite((SHARP, FormalComposite((SHARP, SHARP)))),
+     "invalid-symbol", "formal composites must be flattened"),
+])
+def test_refusals_name_their_cause(build, code, message):
+    with pytest.raises(DomainError) as refused:
+        build()
+    assert (refused.value.code, str(refused.value)) == (code, message)
 
 
 def test_formal_composites_flatten():

@@ -23,6 +23,7 @@ from refshift.lawvere import (
 
 AB = FinSet(("a", "b"))
 ABC = FinSet(("a", "b", "c"))
+SWAP = CurriedMap(AB, BOOL, (("0", "1"), ("1", "0")))
 
 
 def test_finset_rejects_duplicates():
@@ -46,6 +47,11 @@ def test_finmap_totality():
     (lambda: FinMap.from_dict(ABC, BOOL, {"b": "0"}), "the map assigns no value to a, c"),
     (lambda: FinMap.from_dict(AB, BOOL, {"a": "0", "b": "1", "z": "0", "y": "1"}),
      "z, y not in the domain a, b"),
+    (lambda: AB.index("z"), "label 'z' is not in ('a', 'b')"),
+    (lambda: cantor_diagonal(SWAP, FinMap(BOOL, TRI, ("1", "0"))),
+     "the post-map must be an endomap of the base codomain"),
+    (lambda: find_representation(SWAP, FinMap(ABC, BOOL, ("0", "0", "0"))),
+     "candidate map must go from the domain to the base codomain"),
 ])
 def test_refusals_name_their_cause(build, message):
     with pytest.raises(InvalidDefinition) as refused:
