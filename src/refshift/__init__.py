@@ -2,8 +2,9 @@
 
 Subpackages:
 
-- core: word categories, reference arrows, the shift, and both
+- core: word categories, shift steps and their iteration, and both
   self-reference derivations;
+- value: reference arrows, derivations and the shift;
 - smullyan: the printing machine whose string ~R~R is true but unprintable;
 - godel: a seven-symbol language with decimal coding and a self-refuting
   formula, all run-length encoded;
@@ -40,12 +41,13 @@ __all__ = [
     "srt1",
     "vertical_compose",
 ]
+_VALUE = ("Derivation", "DerivationStep", "RefArrow", "shift")  # the names read from value
 
 
 def __getattr__(name):
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = "errors" if name == "DomainError" else "core"
+    module = "errors" if name == "DomainError" else "value" if name in _VALUE else "core"
     return getattr(__import__(f"{__name__}.{module}", fromlist=["*"]), name)
 
 

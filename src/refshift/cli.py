@@ -403,15 +403,17 @@ COMMANDS = {
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """One subparser per command, each listed with its help, but only the first command
-    that argv names gets its arguments. Rows that share a command share its parser and are
-    chosen by ``action``; there each row's positionals are optional, and ``run`` checks them."""
+    """One subparser per command, listed with its help, but only the first command argv names
+    gets arguments, and is built alone when argv starts with it. Rows that share a command share
+    its parser and are chosen by ``action``; their positionals are optional, and ``run`` checks them."""
     parser = _Parser(prog="refshift",
                      description="Categorical pairs, the indicative shift, and four self-reference engines.")
-    sub = parser.add_subparsers(dest="command", required=True)
     names = dict.fromkeys(key.partition(" ")[0] for key in COMMANDS)
     chosen = next((token for token in argv if token in names), None)
-    for name in names:
+    alone = argv[:1] == [chosen]  # then the usage line still lists every command, as argparse would
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(names) + "}" if alone else None)
+    for name in [chosen] if alone else names:
         rows = {k.partition(" ")[2]: row for k, row in COMMANDS.items() if k.partition(" ")[0] == name}
         p = sub.add_parser(name, help=GROUPS.get(name) or rows[""].help)
         if name != chosen:

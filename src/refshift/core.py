@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, repeat
+from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +33,7 @@ from .errors import (
     NotSrt1Shape,
     RewriteBudgetExceeded,
 )
-from .runs import merge_runs, parse, parse_token, render, runs_of
+from .runs import merge_runs, parse, parse_tokens, render, runs_of
 from .value import Derivation, DerivationStep, RefArrow, Value, setfield, shift, shift_derivation
 
 DEFAULT_REWRITE_BUDGET = 10_000
@@ -66,8 +66,9 @@ class Word:
 
     The sequence is stored as its maximal (generator, count) runs, so a word
     like #^199990000 takes one run, and equality and hashing compare runs.
-    The empty sequence is the identity of its object, so dom == cod is
-    required when there are no generators.  Words are immutable.
+    Building, checking and printing take one step per run.  The empty
+    sequence is the identity of its object, so dom == cod is required when
+    there are no generators.  Words are immutable.
     """
 
     __slots__ = ("_runs", "_dom", "_cod", "_len")
@@ -76,9 +77,11 @@ class Word:
     dom = property(attrgetter("_dom"))
     cod = property(attrgetter("_cod"))
 
-    def __init__(self, gens: Iterable[Generator], dom: str, cod: str):
-        runs, length = _chained(zip(gens, repeat(1)), dom, cod)
-        self._runs, self._dom, self._cod, self._len = runs, dom, cod, length
+    def __new__(cls, gens: Iterable[Generator], dom: str, cod: str):
+        return cls._checked(runs_of(gens), dom, cod)
+
+    def __reduce__(self):  # a copy or an unpickled word is rebuilt from its runs, not its generators
+        return self._trusted, (self._runs, self._dom, self._cod, self._len)
 
     @classmethod
     def _trusted(cls, runs: tuple, dom: str, cod: str, length: int) -> "Word":
@@ -88,10 +91,31 @@ class Word:
         return word
 
     @classmethod
+    def _checked(cls, runs: tuple, dom: str, cod: str) -> "Word":
+        """The word of maximal (generator, count) runs, checked in one step per run: a run of
+        two or more copies chains only for a self-morphism, and adjacent runs at one seam.
+        ChainMismatch names the pair a generator-by-generator scan would find first."""
+        length, left = 0, None
+        for g, count in runs:
+            if left is not None and left.dom != g.cod or count > 1 and g.dom != g.cod:
+                left = left if left is not None and left.dom != g.cod else g  # the seam, else the run
+                raise ChainMismatch(f"generators {left.name}:{left.dom}->{left.cod} and "
+                                    f"{g.name}:{g.dom}->{g.cod} do not chain")
+            left = g
+            length += count
+        if runs:
+            if dom != runs[-1][0].dom or cod != runs[0][0].cod:
+                raise ChainMismatch("word endpoints do not match its generator sequence")
+        elif dom != cod:
+            raise ChainMismatch("the empty word is an identity and needs dom == cod")
+        word = object.__new__(cls)
+        word._runs, word._dom, word._cod, word._len = runs, dom, cod, length
+        return word
+
+    @classmethod
     def from_runs(cls, runs, dom: str, cod: str) -> "Word":
         """The word of (generator, count) runs; adjacent equal generators are merged."""
-        runs, length = _chained(runs, dom, cod)
-        return cls._trusted(runs, dom, cod, length)
+        return cls._checked(merge_runs(runs, InvalidDefinition)[0], dom, cod)
 
     @classmethod
     def from_generators(cls, gens: Iterable[Generator]) -> "Word":
@@ -127,45 +151,9 @@ class Word:
         return f"Word(runs={self.runs!r}, dom={self.dom!r}, cod={self.cod!r})"
 
     def __str__(self):
-        if not self.runs:
-            return f"1_{self.dom}"
-        return render((g.name, count) for g, count in self.runs)
-
-
-def _chained(runs, dom: str, cod: str) -> tuple[tuple, int]:
-    """Maximal runs of (generator, count) pairs, fused by merge_runs, and their length.
-
-    Raises ChainMismatch where the word does not chain from dom to cod.  A
-    run of two or more copies chains only for a self-morphism, and adjacent
-    runs chain at one seam, so the check costs one step per run; the pair
-    it reports is the first a generator-by-generator scan would find.
-    """
-    runs, length = merge_runs(runs, InvalidDefinition, _same)
-    left = None
-    for g, count in runs:
-        if left is not None and left.dom != g.cod:
-            _no_chain(left, g)
-        if count > 1 and g.dom != g.cod:
-            _no_chain(g, g)
-        left = g
-    if runs:
-        if dom != runs[-1][0].dom or cod != runs[0][0].cod:
-            raise ChainMismatch("word endpoints do not match its generator sequence")
-    elif dom != cod:
-        raise ChainMismatch("the empty word is an identity and needs dom == cod")
-    return runs, length
-
-
-def _same(a: Generator, b: Generator) -> bool:
-    """Generator equality, with the usual unequal case decided by name alone."""
-    return a is b or (a.name == b.name and a == b)
-
-
-def _no_chain(left: Generator, right: Generator):
-    raise ChainMismatch(
-        f"generators {left.name}:{left.dom}->{left.cod} and "
-        f"{right.name}:{right.dom}->{right.cod} do not chain"
-    )
+        if not self._runs:
+            return f"1_{self._dom}"
+        return render(self._runs, "name")
 
 
 class RewriteRule(Value):
@@ -192,6 +180,13 @@ class RewriteRule(Value):
         return f"{' '.join(self.pattern)} => {' '.join(self.replacement) or '1'}"
 
 
+class _Names(dict):
+    """Generators by name; looking up a name outside it raises InvalidDefinition."""
+
+    def __missing__(self, name):
+        raise InvalidDefinition(f"unknown generator {name!r}")
+
+
 class Category(Value):
     """A base category presented by objects, generators, and rewrite rules."""
 
@@ -205,7 +200,7 @@ class Category(Value):
         objects, generators, rules = frozenset(objects), tuple(generators), tuple(rules)
         if rewrite_budget < 0:
             raise InvalidDefinition("fuel must be non-negative")
-        by_name: dict[str, Generator] = {}
+        by_name = _Names()
         sharps: dict[str, Generator] = {}
         for g in generators:
             if g.dom not in objects or g.cod not in objects:
@@ -257,13 +252,7 @@ class Category(Value):
         setfield(self, "_reach", reach)
 
     def generator(self, name: str) -> Generator:
-        found = self._by_name.get(name)
-        if found is None:
-            raise InvalidDefinition(f"unknown generator {name!r}")
-        return found
-
-    def has_generator(self, name: str) -> bool:
-        return name in self._by_name
+        return self._by_name[name]
 
     def sharp_at(self, obj: str):
         return self._sharps.get(obj)
@@ -274,18 +263,17 @@ class Category(Value):
         return Word((), obj, obj)
 
     def word(self, spec) -> Word:
-        """Build a Word from a string ("F # g", "#^5", "RR", "1_O") or a name sequence."""
+        """Build a Word from a string ("F # g", "#^5", "RR", "1_O") or a name sequence, a run at a time."""
         if isinstance(spec, str):
             s = spec.strip()
             if s.startswith("1_"):
                 return self.identity(s[2:])
-            runs = parse(s, self.has_generator, InvalidDefinition)
+            runs = parse(s, self._by_name, InvalidDefinition)
         else:
-            runs = [parse_token(tok, InvalidDefinition) for tok in spec]
+            runs = parse_tokens(spec, self._by_name, InvalidDefinition)
         if not runs:
             raise InvalidDefinition("empty word spec; use 1_<object> for an identity")
-        runs = [(self.generator(name), count) for name, count in runs]
-        return Word.from_runs(runs, runs[-1][0].dom, runs[0][0].cod)
+        return Word._checked(runs, runs[-1][0].dom, runs[0][0].cod)
 
     def normalize(self, w: Word) -> Word:
         """Exhaustive leftmost rewriting under this category's rules.
@@ -329,8 +317,8 @@ class Category(Value):
         if not steps:
             return w
         try:
-            runs = [(lookup[name], count) for name, count in runs_of(names)]
-            return Word.from_runs(runs, w.dom, w.cod)
+            runs = tuple([(lookup[name], count) for name, count in runs_of(names)])
+            return Word._checked(runs, w.dom, w.cod)  # one generator per name keeps the runs maximal
         except ChainMismatch as exc:
             raise InvalidRule(f"rewriting {w} produced an ill-typed word") from exc
 
@@ -382,7 +370,7 @@ def concat(f: Word, g: Word) -> Word:
     left, right = f._runs, g._runs
     if left and right:
         (inner, count), (outer, more) = left[-1], right[0]
-        if inner is outer or _same(inner, outer):
+        if inner is outer or (inner.name == outer.name and inner == outer):  # most differ by name
             runs = left[:-1] + ((inner, count + more),) + right[1:]
         else:
             runs = left + right

@@ -92,7 +92,7 @@ def parse(text: str) -> Formula:
 
 def parse_compact(text: str) -> Formula:
     """Parse display text that may compress runs as in "~P(#|^341752)"."""
-    return Formula.from_runs(parse_glued(text, InvalidSymbol))
+    return Formula(parse_glued(text, InvalidSymbol))  # parse_glued fuses the runs it reads
 
 
 def numeral(n: int) -> Formula:

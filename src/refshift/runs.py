@@ -1,41 +1,40 @@
 """Run-length runs and text: the one format for words, formulas and code numbers.
 
-A run is a (name, count) pair, count >= 1.  merge_runs alone fuses
-neighbouring runs and check_runs alone checks runs that must already be
-maximal: core.Word builds its runs with merge_runs, and godel's Formula
-and GodelNumber with both.  Runs of RLE_MIN or more print as name^N,
-shorter ones as the name repeated.  Pieces sit side by side when every
-name is one non-digit character ("F#^6", "~P(#|^341752)") and are spaced
-tokens otherwise ("#Z a", "a^4 2"), so no digit follows a count.
+A run is a (name, count) pair, count >= 1.  runs_of groups a sequence at C
+speed, merge_runs fuses runs and check_runs checks runs that must already
+be maximal, each in one step per run.  Runs of RLE_MIN or more print as
+name^N, shorter ones as the name repeated.  Pieces sit side by side when
+every name is one non-digit character ("F#^6", "~P(#|^341752)") and are
+spaced tokens otherwise ("#Z a", "a^4 2"), so no digit follows a count.
 Functions that reject input take the DomainError subclass to raise.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 
 RLE_MIN = 4
 
 _DIGITS = "0123456789"
-_GLUED = re.compile(r"(.)(\^([0-9]*))?", re.DOTALL)
+# a run of one name (as many copies as follow, the last maybe ^N), or a lone "^" (never grouped)
+_GLUED = re.compile(r"(?:([^^])(\1*)|(\^))(\^([0-9]*))?")
 
 
 def runs_of(items) -> tuple:
-    """Maximal (item, count) runs of a sequence."""
-    return tuple((key, len(list(group))) for key, group in itertools.groupby(items))
+    """Maximal (item, count) runs of a sequence, grouped at C speed: one step per run."""
+    return tuple([(key, len(list(group))) for key, group in itertools.groupby(items)])
 
 
-def merge_runs(runs, error, same=operator.eq) -> tuple[tuple, int]:
-    """Maximal runs, fusing neighbours whose names are same(), and their total length; counts >= 1."""
+def merge_runs(runs, error) -> tuple[tuple, int]:
+    """Maximal runs, fusing equal neighbours, and their total length; counts >= 1."""
     out = []
     length = 0
     for name, count in runs:
         if count < 1:
             raise error(f"run count must be >= 1, got {count}")
         length += count
-        if out and same(out[-1][0], name):
+        if out and out[-1][0] == name:
             out[-1] = (out[-1][0], out[-1][1] + count)
         else:
             out.append((name, count))
@@ -76,39 +75,46 @@ def read_count(digits: str, token: str, error) -> int:
         return int(Decimal(digits))
 
 
-def render(runs) -> str:
-    """Text of a run list, spaced once any name is not one non-digit character."""
-    sep = ""
-    pieces = []
+def render(runs, attr=None) -> str:
+    """Text of a run list, spaced once any name is not one non-digit character;
+    a run's key is its name, or holds it in its attribute attr."""
+    sep, pieces = "", []
     for name, count in runs:
+        if attr:
+            name = getattr(name, attr)
         if len(name) != 1 or name in _DIGITS:
             sep = " "
         if count >= RLE_MIN:
             pieces.append(f"{name}^{count_text(count)}")
         else:
-            pieces.extend([name] * count)
+            pieces += [name] * count
     return sep.join(pieces)
 
 
-def parse_token(token: str, error) -> tuple:
-    """One spaced token, name or name^N, as a run."""
-    name, caret, digits = token.partition("^")
-    return name, read_count(digits, token, error) if caret else 1
+def parse_tokens(tokens, names, error) -> tuple:
+    """Maximal runs of spaced tokens, name or name^N, each name as names[name] once every count is read."""
+    runs = []
+    for token, copies in runs_of(tokens):
+        name, caret, digits = token.partition("^")
+        runs.append((name, read_count(digits, token, error) * copies if caret else copies))
+    return tuple([(names[name], count) for name, count in merge_runs(runs, error)[0]])
 
 
-def parse_glued(text: str, error) -> list:
-    """Side-by-side single-character names, each optionally ^N, as runs."""
+def parse_glued(text: str, error) -> tuple:
+    """Side-by-side single-character names, each optionally ^N, as maximal runs, one step per run."""
     if "^" not in text:
-        return list(runs_of(text))
-    return [(name, read_count(digits, text, error) if caret else 1)
-            for name, caret, digits in _GLUED.findall(text)]
+        return runs_of(text)
+    return merge_runs([(name or hat, len(more) + (read_count(digits, text, error) if caret else 1))
+                       for name, more, hat, caret, digits in _GLUED.findall(text)], error)[0]
 
 
-def parse(text: str, is_name, error) -> list:
-    """Runs of spaced tokens, or side-by-side names when a lone token is no known name[^N]."""
+def parse(text: str, names, error) -> tuple:
+    """As parse_tokens, or side-by-side names when a lone token is no name[^N] in names."""
     tokens = text.split()
     if len(tokens) == 1:
-        name, _, digits = tokens[0].partition("^")
-        if not is_name(name) or digits.strip(_DIGITS):
-            return parse_glued(tokens[0], error)
-    return [parse_token(token, error) for token in tokens]
+        name, caret, digits = tokens[0].partition("^")
+        if not caret and name not in names:  # side by side with no count: read and looked up at once
+            return tuple([(names[key], len(list(same))) for key, same in itertools.groupby(name)])
+        if name not in names or digits.strip(_DIGITS):
+            return tuple([(names[key], count) for key, count in parse_glued(tokens[0], error)])
+    return parse_tokens(tokens, names, error)

@@ -10,6 +10,7 @@ unprintability, so a machine that only prints truths can never print it.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable
 
 from .core import Category, Generator, Word
@@ -35,12 +36,13 @@ class _MachineWord(Word):
     __slots__ = ()
 
     def __str__(self):
-        return "".join(g.name * count for g, count in self.runs) if self.runs else super().__str__()
+        return "".join([g.name * count for g, count in self._runs]) if self._runs else super().__str__()
 
 
 def word(s: str) -> Word:
-    """The machine string s as a word of the Smullyan base category."""
-    return _MachineWord(map(_CATEGORY.generator, s), _OBJECT, _OBJECT)
+    """The machine string s as a word, one lookup per run; every generator is O -> O, so it chains."""
+    runs = tuple([(_CATEGORY._by_name[ch], len(list(same))) for ch, same in groupby(s)])
+    return _MachineWord._trusted(runs, _OBJECT, _OBJECT, len(s))
 
 
 class Classification(Value):

@@ -466,11 +466,23 @@ def test_usage_errors_are_envelopes(capsys):
     assert err.endswith("refshift shift: error: the following arguments are required: arrow\n")
 
 
-def test_the_parser_builds_the_arguments_of_the_named_command_only():
+def test_the_parser_builds_the_arguments_of_the_named_command_only(capsys):
     # every command is listed with its help whichever is named, but only the named one takes arguments
-    assert cli.build_parser(["shift"]).format_help() == cli.build_parser([]).format_help()
+    full = cli.build_parser([])
+    assert invoke(capsys, "-h") == (0, full.format_help(), "")
     with pytest.raises(cli.UsageError, match="^unrecognized arguments: 1_O -> 1_O$"):
-        cli.build_parser(["godel-sharp"]).parse_args(["shift", "1_O -> 1_O"])
+        cli.build_parser(["--json", "godel-sharp"]).parse_args(["shift", "1_O -> 1_O"])
+    # a command that argv starts with is built alone, under the usage line of them all
+    alone = cli.build_parser(["godel-sharp"])
+    assert alone.format_usage() == full.format_usage()
+    with pytest.raises(cli.UsageError, match="invalid choice") as refused:
+        alone.parse_args(["shift", "1_O -> 1_O"])
+    assert str(refused.value).partition("(choose from ")[2].strip("'\")") == "godel-sharp"
+    with pytest.raises(SystemExit):  # the help of shift as the parser of every command prints it
+        cli.build_parser(["--json", "shift"]).parse_args(["shift", "-h"])
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: refshift shift [-h] [--json] [--trace]")
+    assert invoke(capsys, "shift", "-h") == (0, help_text, "")
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -836,6 +848,12 @@ def test_decimal_is_loaded_only_past_the_int_str_digit_limit(tmp_path):
 
 def test_importing_the_package_loads_no_engine(tmp_path):
     assert loaded_modules(tmp_path, "import sys, refshift") == []
+
+
+def test_the_second_level_names_load_value_alone(tmp_path):
+    # reference arrows, derivations and the shift need no word category, so no core and no dataclasses
+    code = "import sys, refshift\nrefshift.RefArrow, refshift.Derivation, refshift.DerivationStep, refshift.shift"
+    assert loaded_modules(tmp_path, code) == ["refshift.value"]
 
 
 def test_the_engine_import_shows_in_the_import_time_log(tmp_path):

@@ -1,12 +1,14 @@
 import itertools
 import json
 import pickle
+import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from refshift import cli, core
+from refshift import cli, core, runs, smullyan
 from refshift.core import (
     Category,
     CategoricalPair,
@@ -36,6 +38,7 @@ from refshift.errors import (
     NotSrt1Shape,
     RewriteBudgetExceeded,
 )
+from refshift.runs import RLE_MIN, read_count
 
 
 def two_object_pair():
@@ -1027,3 +1030,205 @@ def test_lambda_shift_is_horizontal_composition_with_the_source(src, dst, prefix
     base = LAMBDA_PAIR.base
     oracle = RefArrow(compose(base, src, src), compose(base, dst, src))
     assert shift_step(LAMBDA_PAIR, r) == (oracle, "shift-lambda")
+
+
+# --- the run-at-a-time builders against the generator-at-a-time ones ---
+
+# The builders before they grouped runs at C speed: one lookup, one merge and
+# one neighbour comparison per generator, kept here as the oracle.
+
+
+def oracle_runs(runs, dom, cod):
+    """Fuse (generator, count) runs neighbour by neighbour, then check the chain run by run."""
+    out, length = [], 0
+    for g, count in runs:
+        if count < 1:
+            raise InvalidDefinition(f"run count must be >= 1, got {count}")
+        length += count
+        if out and (out[-1][0] is g or (out[-1][0].name == g.name and out[-1][0] == g)):
+            out[-1] = (out[-1][0], out[-1][1] + count)
+        else:
+            out.append((g, count))
+    for (left, _), (right, count) in zip([(None, 0)] + out, out):
+        for a, b in [(left, right)] * (left is not None) + [(right, right)] * (count > 1):
+            if a.dom != b.cod:
+                raise ChainMismatch(f"generators {a.name}:{a.dom}->{a.cod} and "
+                                    f"{b.name}:{b.dom}->{b.cod} do not chain")
+    if out and (dom != out[-1][0].dom or cod != out[0][0].cod):
+        raise ChainMismatch("word endpoints do not match its generator sequence")
+    if not out and dom != cod:
+        raise ChainMismatch("the empty word is an identity and needs dom == cod")
+    return tuple(out), dom, cod, length
+
+
+def oracle_word(gens, dom, cod):
+    return oracle_runs(((g, 1) for g in gens), dom, cod)
+
+
+def oracle_token(token):
+    name, caret, digits = token.partition("^")
+    return name, read_count(digits, token, InvalidDefinition) if caret else 1
+
+
+def oracle_parse(text, names):
+    """Spaced tokens, or one character at a time when a lone token is no known name[^N]."""
+    tokens = text.split()
+    if len(tokens) == 1:
+        name, _, digits = tokens[0].partition("^")
+        if name not in names or digits.strip("0123456789"):
+            runs = []
+            for ch, caret, digits in re.findall(r"(.)(\^([0-9]*))?", tokens[0], re.DOTALL):
+                runs.append((ch, read_count(digits, tokens[0], InvalidDefinition) if caret else 1))
+            return runs
+    return [oracle_token(token) for token in tokens]
+
+
+def oracle_category_word(cat, spec):
+    names = {g.name: g for g in cat.generators}
+    if isinstance(spec, str):
+        s = spec.strip()
+        if s.startswith("1_"):
+            if s[2:] not in cat.objects:
+                raise InvalidDefinition(f"unknown object {s[2:]!r}")
+            return (), s[2:], s[2:], 0
+        runs = oracle_parse(s, names)
+    else:
+        runs = [oracle_token(token) for token in spec]
+    if not runs:
+        raise InvalidDefinition("empty word spec; use 1_<object> for an identity")
+    for name, _ in runs:
+        if name not in names:
+            raise InvalidDefinition(f"unknown generator {name!r}")
+    runs = [(names[name], count) for name, count in runs]
+    return oracle_runs(runs, runs[-1][0].dom, runs[0][0].cod)
+
+
+def oracle_text(runs, dom):
+    """A word's text, one generator at a time."""
+    if not runs:
+        return f"1_{dom}"
+    names = [g.name for g, count in runs for _ in range(count)]
+    spaced = any(len(name) != 1 or name in "0123456789" for name in names)
+    pieces = [f"{g.name}^{count}" if count >= RLE_MIN else (" " if spaced else "").join([g.name] * count)
+              for g, count in runs]
+    return (" " if spaced else "").join(pieces)
+
+
+def _built(build, *args):
+    """A word's runs, endpoints, length and text, or the type and message of the refusal."""
+    try:
+        found = build(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    if isinstance(found, Word):
+        return found.runs, found.dom, found.cod, len(found), str(found)
+    return found + (oracle_text(found[0], found[1]),)
+
+
+# one- and multi-character names, "ab" glued from a and b, digits, and X -> Y generators
+BUILDER_NAMES = ("a", "b", "ab", "#", "~", "c1", "2", "F", "uv")
+
+
+@st.composite
+def builder_categories(draw):
+    names = draw(st.lists(st.sampled_from(BUILDER_NAMES), min_size=1, max_size=6, unique=True))
+    ends = [draw(st.sampled_from([("X", "X"), ("X", "X"), ("Y", "Y"), ("X", "Y"), ("Y", "X")]))
+            for _ in names]
+    return Category({"X", "Y"}, [Generator(n, dom, cod) for n, (dom, cod) in zip(names, ends)])
+
+
+@st.composite
+def builder_specs(draw, cat):
+    """A name list or a text for cat: repeats, name^N tokens, unknown names and bad counts."""
+    known = [g.name for g in cat.generators]
+    tokens = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(known + ["zz", "a"] if draw(st.integers(0, 5)) == 0 else known))
+        suffix = draw(st.sampled_from(["", "", "", "^2", "^4", "^11", "^0", "^", "^x"]))
+        tokens += [name + suffix] * draw(st.integers(1, 3))
+    form = draw(st.sampled_from(["names", "spaced", "glued", "identity", "raw"]))
+    if form == "names":
+        return tokens
+    if form == "raw":  # carets and digits anywhere
+        return draw(st.text(alphabet="ab#~c12^ ", max_size=10))
+    if form == "identity":
+        return draw(st.sampled_from(["1_X", " 1_Y ", "1_Q"]))
+    return (" " if form == "spaced" else "").join(tokens) + draw(st.sampled_from(["", " "]))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_category_word_matches_the_generator_at_a_time_builder(data):
+    cat = data.draw(builder_categories())
+    spec = data.draw(builder_specs(cat))
+    assert _built(cat.word, spec) == _built(oracle_category_word, cat, spec)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_word_matches_the_generator_at_a_time_builder(data):
+    cat = data.draw(builder_categories())
+    gens = data.draw(st.lists(st.sampled_from(cat.generators), max_size=8))
+    gens = [Generator(g.name, g.dom, g.cod) if data.draw(st.booleans()) else g for g in gens]  # equal, not same
+    dom, cod = data.draw(st.sampled_from(["X", "Y"])), data.draw(st.sampled_from(["X", "Y"]))
+    assert _built(Word, gens, dom, cod) == _built(oracle_word, gens, dom, cod)
+    if gens:
+        expected = _built(oracle_word, gens, gens[-1].dom, gens[0].cod)
+        assert _built(Word.from_generators, iter(gens)) == expected
+        assert _built(Word.from_runs, [(g, 1) for g in gens], gens[-1].dom, gens[0].cod) == expected
+
+
+@given(st.text(alphabet=smullyan.ALPHABET + "x^ ", max_size=12))
+def test_machine_words_match_the_generator_at_a_time_builder(s):
+    plain = _built(lambda: Word(map(smullyan.smullyan_category().generator, s), "O", "O"))
+    machine = _built(smullyan.word, s)
+    if len(plain) == 2:  # a character outside the alphabet
+        assert machine == plain
+    else:  # the same runs, printed as the machine string itself (P]]]], not P]^4)
+        assert machine == plain[:-1] + (s or "1_O",)
+
+
+def _lines_run(build):
+    """Lines run in refshift.core, refshift.runs and refshift.smullyan while build() runs."""
+    files = {core.__file__, runs.__file__, smullyan.__file__}
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename not in files:
+            return None
+        lines += event == "line"
+        return trace
+
+    sys.settrace(trace)
+    try:
+        build()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def _word_work(per_run):
+    """Lines run to build a word of six runs of per_run generators each way, and to print it."""
+    cat = load_pair_text("object O\ngenerator u : O -> O\ngenerator v : O -> O\nsharp # : O\n").base
+    names = [name for name in "uv#uv#" for _ in range(per_run)]
+    gens = [cat.generator(name) for name in names]
+    word = cat.word(names)
+    assert len(word.runs) == 6 and str(word) == f"u^{per_run}v^{per_run}#^{per_run}" * 2
+    machine = "".join(ch * per_run for ch in "P[~]R[")
+    return {how: _lines_run(build) for how, build in {
+        "names": lambda: cat.word(names),
+        "glued text": lambda: cat.word("".join(names)),
+        "glued text with a count": lambda: cat.word("".join(names) + "u^2"),
+        "spaced text": lambda: cat.word(" ".join(names)),
+        "printed text": lambda: cat.word(str(word)),
+        "generators": lambda: Word(gens, "O", "O"),
+        "print": lambda: str(word),
+        "machine string": lambda: smullyan.word(machine),
+    }.items()}
+
+
+def test_building_and_printing_a_word_take_steps_per_run_not_per_generator():
+    # counted, not clocked: the lines run must not grow with the generators in a run
+    few = _word_work(10)
+    assert all(few.values()) and _word_work(10_000) == few

@@ -68,8 +68,6 @@ def test_bad_counts_are_invalid_definitions(text):
 def test_merge_runs_fuses_neighbours_and_counts_their_length():
     assert merge_runs([("a", 1), ("a", 2), ("b", 1), ("a", 3)], InvalidDefinition) == (
         (("a", 3), ("b", 1), ("a", 3)), 7)
-    same_case = lambda x, y: x.lower() == y.lower()
-    assert merge_runs([("a", 1), ("A", 2)], InvalidDefinition, same_case) == ((("a", 3),), 3)
     assert merge_runs([], InvalidDefinition) == ((), 0)
     with pytest.raises(InvalidDefinition, match="run count must be >= 1, got 0"):
         merge_runs([("a", 1), ("b", 0)], InvalidDefinition)
