@@ -77,11 +77,9 @@ class Word:
     dom = property(attrgetter("_dom"))
     cod = property(attrgetter("_cod"))
 
-    def __new__(cls, gens: Iterable[Generator], dom: str, cod: str):
-        return cls._checked(runs_of(gens), dom, cod)
-
-    def __reduce__(self):  # a copy or an unpickled word is rebuilt from its runs, not its generators
-        return self._trusted, (self._runs, self._dom, self._cod, self._len)
+    def __init__(self, gens: Iterable[Generator], dom: str, cod: str):
+        runs = runs_of(gens)
+        self._runs, self._dom, self._cod, self._len = runs, dom, cod, _chain_length(runs, dom, cod)
 
     @classmethod
     def _trusted(cls, runs: tuple, dom: str, cod: str, length: int) -> "Word":
@@ -92,25 +90,8 @@ class Word:
 
     @classmethod
     def _checked(cls, runs: tuple, dom: str, cod: str) -> "Word":
-        """The word of maximal (generator, count) runs, checked in one step per run: a run of
-        two or more copies chains only for a self-morphism, and adjacent runs at one seam.
-        ChainMismatch names the pair a generator-by-generator scan would find first."""
-        length, left = 0, None
-        for g, count in runs:
-            if left is not None and left.dom != g.cod or count > 1 and g.dom != g.cod:
-                left = left if left is not None and left.dom != g.cod else g  # the seam, else the run
-                raise ChainMismatch(f"generators {left.name}:{left.dom}->{left.cod} and "
-                                    f"{g.name}:{g.dom}->{g.cod} do not chain")
-            left = g
-            length += count
-        if runs:
-            if dom != runs[-1][0].dom or cod != runs[0][0].cod:
-                raise ChainMismatch("word endpoints do not match its generator sequence")
-        elif dom != cod:
-            raise ChainMismatch("the empty word is an identity and needs dom == cod")
-        word = object.__new__(cls)
-        word._runs, word._dom, word._cod, word._len = runs, dom, cod, length
-        return word
+        """The word of maximal (generator, count) runs, checked by _chain_length."""
+        return cls._trusted(runs, dom, cod, _chain_length(runs, dom, cod))
 
     @classmethod
     def from_runs(cls, runs, dom: str, cod: str) -> "Word":
@@ -153,7 +134,27 @@ class Word:
     def __str__(self):
         if not self._runs:
             return f"1_{self._dom}"
-        return render(self._runs, "name")
+        return render([(g.name, count) for g, count in self._runs])
+
+
+def _chain_length(runs: tuple, dom: str, cod: str) -> int:
+    """The length of maximal (generator, count) runs, checked in one step per run: a run of
+    two or more copies chains only for a self-morphism, and adjacent runs at one seam.
+    ChainMismatch names the pair a generator-by-generator scan would find first."""
+    length, left = 0, None
+    for g, count in runs:
+        if left is not None and left.dom != g.cod or count > 1 and g.dom != g.cod:
+            left = left if left is not None and left.dom != g.cod else g  # the seam, else the run
+            raise ChainMismatch(f"generators {left.name}:{left.dom}->{left.cod} and "
+                                f"{g.name}:{g.dom}->{g.cod} do not chain")
+        left = g
+        length += count
+    if runs:
+        if dom != runs[-1][0].dom or cod != runs[0][0].cod:
+            raise ChainMismatch("word endpoints do not match its generator sequence")
+    elif dom != cod:
+        raise ChainMismatch("the empty word is an identity and needs dom == cod")
+    return length
 
 
 class RewriteRule(Value):

@@ -75,19 +75,17 @@ def read_count(digits: str, token: str, error) -> int:
         return int(Decimal(digits))
 
 
-def render(runs, attr=None) -> str:
-    """Text of a run list, spaced once any name is not one non-digit character;
-    a run's key is its name, or holds it in its attribute attr."""
-    sep, pieces = "", []
+def render(runs) -> str:
+    """Text of a run list, spaced once any name is not one non-digit character."""
+    sep = ""
+    pieces = []
     for name, count in runs:
-        if attr:
-            name = getattr(name, attr)
         if len(name) != 1 or name in _DIGITS:
             sep = " "
         if count >= RLE_MIN:
             pieces.append(f"{name}^{count_text(count)}")
         else:
-            pieces += [name] * count
+            pieces.extend([name] * count)
     return sep.join(pieces)
 
 
@@ -112,9 +110,7 @@ def parse(text: str, names, error) -> tuple:
     """As parse_tokens, or side-by-side names when a lone token is no name[^N] in names."""
     tokens = text.split()
     if len(tokens) == 1:
-        name, caret, digits = tokens[0].partition("^")
-        if not caret and name not in names:  # side by side with no count: read and looked up at once
-            return tuple([(names[key], len(list(same))) for key, same in itertools.groupby(name)])
+        name, _, digits = tokens[0].partition("^")
         if name not in names or digits.strip(_DIGITS):
             return tuple([(names[key], count) for key, count in parse_glued(tokens[0], error)])
     return parse_tokens(tokens, names, error)

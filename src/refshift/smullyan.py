@@ -40,9 +40,9 @@ class _MachineWord(Word):
 
 
 def word(s: str) -> Word:
-    """The machine string s as a word, one lookup per run; every generator is O -> O, so it chains."""
-    runs = tuple([(_CATEGORY._by_name[ch], len(list(same))) for ch, same in groupby(s)])
-    return _MachineWord._trusted(runs, _OBJECT, _OBJECT, len(s))
+    """The machine string s as a word: one lookup and one chain check per run of equal characters."""
+    runs = tuple([(_CATEGORY.generator(ch), len(list(same))) for ch, same in groupby(s)])
+    return _MachineWord._checked(runs, _OBJECT, _OBJECT)
 
 
 class Classification(Value):
