@@ -405,7 +405,7 @@ COMMANDS = {
 def build_parser(argv) -> argparse.ArgumentParser:
     """One subparser per command, listed with its help, but only the first command argv names
     gets arguments, and is built alone when argv starts with it. Rows that share a command share
-    its parser and are chosen by ``action``; their positionals are optional, and ``run`` checks them."""
+    its parser and are chosen by ``action``; other actions' positionals are optional, ``run`` checks them."""
     parser = _Parser(prog="refshift",
                      description="Categorical pairs, the indicative shift, and four self-reference engines.")
     names = dict.fromkeys(key.partition(" ")[0] for key in COMMANDS)
@@ -423,7 +423,9 @@ def build_parser(argv) -> argparse.ArgumentParser:
         if "" not in rows:
             p.add_argument("action", choices=list(rows),
                            help="; ".join(f"{a}: {r.help}" for a, r in rows.items()))
-            specs = {f: kw if f[0] == "-" else dict(kw, nargs="?") for f, kw in specs.items()}
+            # argparse takes the action with every optional positional, so the named action's stay required
+            own = next(({f for f, _ in rows[t].args} for t in argv if t in rows), ())
+            specs = {f: kw if f[0] == "-" or f in own else dict(kw, nargs="?") for f, kw in specs.items()}
         for flag, kwargs in specs.items():
             p.add_argument(flag, **kwargs)
     return parser

@@ -1,48 +1,36 @@
 """The Smullyan printing machine as a categorical pair.
 
-Strings over {~, P, R, [, ]} are classified by their leading marker; the
-four marked shapes are read as assertions about what the machine can print:
-PX about X, RX about XX, with ~ negating.  Each interpretable string gets a
-reference arrow to the bracketed assertion it makes, and semantics is
-evaluated against a finite printable set.  The string ~R~R asserts its own
-unprintability, so a machine that only prints truths can never print it.
+The base category is the free monoid on {~, P, R, [, ]}, which ``str``
+already is, so the machine strings themselves are its morphisms and the
+engine loads no word category.  Strings are classified by their leading
+marker; the four marked shapes are read as assertions about what the
+machine can print: PX about X, RX about XX, with ~ negating.  Each
+interpretable string gets a reference arrow to the bracketed assertion it
+makes, and semantics is evaluated against a finite printable set.  The
+string ~R~R asserts its own unprintability, so a machine that only prints
+truths can never print it.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Iterable
+import re
+from typing import TYPE_CHECKING, Iterable
 
-from .core import Category, Generator, Word
+from .errors import InvalidDefinition
 from .value import Derivation, DerivationStep, RefArrow, Value, setfield
 
-ALPHABET = "~PR[]"
+if TYPE_CHECKING:
+    from .core import Category
 
-_OBJECT = "O"
-_CATEGORY = Category(
-    frozenset({_OBJECT}),
-    tuple(Generator(ch, _OBJECT, _OBJECT) for ch in ALPHABET),
-)
+ALPHABET = "~PR[]"
+_FOREIGN = re.compile(f"[^{re.escape(ALPHABET)}]")
 
 
 def smullyan_category() -> Category:
     """One object; one generator per alphabet symbol; composition is concatenation."""
-    return _CATEGORY
+    from .core import Category, Generator
 
-
-class _MachineWord(Word):
-    """Prints as the literal machine string (P]]]], not P]^4); equal to the plain Word."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return "".join([g.name * count for g, count in self._runs]) if self._runs else super().__str__()
-
-
-def word(s: str) -> Word:
-    """The machine string s as a word: one lookup and one chain check per run of equal characters."""
-    runs = tuple([(_CATEGORY.generator(ch), len(list(same))) for ch, same in groupby(s)])
-    return _MachineWord._checked(runs, _OBJECT, _OBJECT)
+    return Category(frozenset({"O"}), tuple(Generator(ch, "O", "O") for ch in ALPHABET))
 
 
 class Classification(Value):
@@ -96,13 +84,20 @@ def classify(s: str) -> Classification | None:
 
 
 def reference_arrow(s: str) -> RefArrow | None:
-    """The rule arrow for an interpretable string, e.g. RX -> P[XX]; else None."""
+    """The rule arrow for an interpretable string, e.g. RX -> P[XX]; else None.
+
+    Both ends are machine strings.  A symbol outside ALPHABET raises
+    InvalidDefinition, naming the first one.
+    """
     claim = _claim(s)
     if claim is None:
         return None
+    foreign = _FOREIGN.search(s)
+    if foreign:
+        raise InvalidDefinition(f"unknown generator {foreign.group()!r}")
     subject, positive = claim
     prefix = "P" if positive else "~P"
-    return RefArrow(word(s), word(f"{prefix}[{subject}]"))
+    return RefArrow(s, f"{prefix}[{subject}]")
 
 
 def semantics(s: str, m: MachineModel) -> bool | None:

@@ -586,6 +586,9 @@ def test_two_category_flag_is_gone(capsys):
     (["reflexive", "build", "--builtin", "link", "--max-len", "3"],
      ["reflexive", "build", "--builtin", "link"]),
     (["lambda", "--steps", "2", "fixpoint", "F"], ["lambda", "fixpoint", "F", "--steps", "2"]),
+    # an option between the action and its positional
+    (["smullyan", "classify", "--json", "~R~R"], ["smullyan", "classify", "~R~R", "--json"]),
+    (["lambda", "reduce", "--steps", "2", "F"], ["lambda", "reduce", "F", "--steps", "2"]),
 ])
 def test_action_arguments_in_any_order(capsys, argv, canonical):
     # one parser per command takes the options of all its actions, before or after the action
@@ -747,6 +750,8 @@ FAILURES = {
                                 "invalid-definition", "--arrow is required unless the base has exactly one object"),
     "unknown-generator": (["shift", "x -> 1_O", "--base", "simplest"], "",
                           "invalid-definition", "unknown generator 'x'"),
+    "machine-string-unknown-generator": (["smullyan", "arrow", "PX"], "",
+                                         "invalid-definition", "unknown generator 'X'"),
     "unknown-object": (["shift", "1_Q -> 1_O", "--base", "simplest"], "",
                        "invalid-definition", "unknown object 'Q'"),
     # a second separator stays in the last field, which then names nothing known
@@ -814,7 +819,10 @@ def loaded_modules(tmp_path, code, *argv):
 @pytest.mark.parametrize("argv,engines", [
     (["shift", "1_O -> 1_O"], ["core", "runs", "value", "dataclasses"]),
     (["godel-encode", "~P(x)"], ["godel", "runs", "value"]),
-    (["smullyan", "classify", "~R~R"], ["core", "runs", "smullyan", "value", "dataclasses"]),
+    # machine strings are the morphisms of Smullyan's category, so no command of it loads core
+    (["smullyan", "classify", "~R~R"], ["smullyan", "value"]),
+    (["smullyan", "arrow", "~R~R"], ["smullyan", "value"]),
+    (["smullyan", "report"], ["smullyan", "value"]),
     (["lawvere", "--table", "bool.json"], ["lawvere", "value"]),
     (["threeval", "--table", "tri.json"], ["lawvere", "value"]),
     (["lambda", "define", "q x = x"], ["fixpoint", "value"]),

