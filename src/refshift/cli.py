@@ -2,8 +2,9 @@
 
 Every subcommand is one row of ``COMMANDS``: its engine module, help, argument
 specs and a handler that takes the engine and the parsed arguments and returns
-``(result dict, text lines[, derivation])``.  Only ``run`` imports an engine, the
-row's, when it dispatches that row, so a command loads no other engine.
+``(result dict, text lines[, derivation])``; a row takes --trace only if it
+returns a derivation.  Only ``run`` imports an engine, the row's, when it
+dispatches that row, so a command loads no other engine.
 
 Exit codes: 0 on success, 1 on a domain error or an unreadable file, 2 on a
 usage error. Each failure has a machine code (a ``DomainError`` code, ``io``
@@ -59,17 +60,19 @@ def _pair(core, args) -> core.CategoricalPair:
 def _load_model(smullyan, path) -> smullyan.MachineModel:
     strings = [s for s in _read(path).split("\n") if s]
     for s in strings:
-        for ch in s:
-            if ch not in smullyan.ALPHABET:
-                raise InvalidSymbol(f"model string {s!r} uses {ch!r}, outside {smullyan.ALPHABET}")
+        foreign = smullyan.FOREIGN.search(s)
+        if foreign:
+            raise InvalidSymbol(f"model string {s!r} uses {foreign.group()!r}, outside {smullyan.ALPHABET}")
     return smullyan.MachineModel(frozenset(strings))
 
 
 def _load_table(lawvere, path) -> lawvere.CurriedMap:
     try:
         data = json.loads(_read(path))
-        dom, cod = tuple(data["elements"]), tuple(data["z_elements"])
-        rows = tuple(tuple(row) for row in data["rows"])
+        dom, cod, rows = data["elements"], data["z_elements"], data["rows"]
+        # a string would otherwise read as the list of its characters
+        if not (all(type(v) is list for v in (dom, cod, rows)) and all(type(row) is list for row in rows)):
+            raise InvalidDefinition("table elements, z_elements, rows and each row must be JSON lists")
         if not all(type(v) is str for v in itertools.chain(dom, cod, *rows)):
             raise InvalidDefinition("table elements, z_elements and row values must be strings")
         return lawvere.CurriedMap(lawvere.FinSet(dom), lawvere.FinSet(cod), rows)
@@ -330,10 +333,8 @@ class Command(NamedTuple):
 
 BASES = ("next-simplest", "russell", "simplest")  # sorted(core.BUILTIN_PAIRS)
 DIAGRAMS = ("trefoil", "link")  # reflexive.BUILTIN_TABLES
-OUTPUT = (
-    arg("--json", action="store_true", help="emit a JSON envelope"),
-    arg("--trace", action="store_true", help="include the derivation trace"),
-)
+OUTPUT = (arg("--json", action="store_true", help="emit a JSON envelope"),)
+TRACE = arg("--trace", action="store_true", help="include the derivation trace")
 PAIR = (
     arg("--base", choices=BASES, default="simplest", help="built-in base pair"),
     arg("--category", metavar="FILE", help="load the base pair from a file"),
@@ -362,9 +363,10 @@ GROUPS = {"smullyan": "printing-machine analysis", "lambda": "named maps and fix
 
 COMMANDS = {
     "shift": Command("core", "apply the shift to one arrow",
-                     PAIR + (arg("arrow", help="reference arrow, e.g. 'g -> F'"),), _shift),
-    "srt1": Command("core", "derive (#g -> F#g) from (g -> F#)", PAIR + (arg("arrow"),), _srt1),
-    "iterate": Command("core", "iterate the shift", PAIR + (
+                     (TRACE, *PAIR, arg("arrow", help="reference arrow, e.g. 'g -> F'")), _shift),
+    "srt1": Command("core", "derive (#g -> F#g) from (g -> F#)", (TRACE, *PAIR, arg("arrow")), _srt1),
+    "iterate": Command("core", "iterate the shift", (
+        TRACE, *PAIR,
         arg("--arrow", help="starting arrow; defaults to 1 -> 1"),
         arg("--n", type=int, required=True, help="number of shifts"),
     ), _iterate),
@@ -372,7 +374,8 @@ COMMANDS = {
     "smullyan arrow": Command("smullyan", "its reference arrow", STRING, _arrow),
     "smullyan semantics": Command("smullyan", "its truth value in --model",
                                   STRING + (arg("--model", **MODEL),), _semantics),
-    "smullyan report": Command("smullyan", "the proof that ~R~R is true but unprintable", (), _report),
+    "smullyan report": Command("smullyan", "the proof that ~R~R is true but unprintable", (TRACE,),
+                               _report),
     "violations": Command("smullyan", "printed falsehoods of a model",
                           (arg("--model", required=True, **MODEL),), _violations),
     "godel-encode": Command("godel", "formula text to code number", (arg("text"),),
@@ -384,7 +387,7 @@ COMMANDS = {
     "godel-compose": Command("godel", "compose two code numbers", (arg("left"), arg("right")),
                              lambda godel, args: _number(godel.compose_numbers(_wire(godel, args.left),
                                                                                _wire(godel, args.right)))),
-    "self-refuter": Command("godel", "the formula asserting its own code's unprintability", (),
+    "self-refuter": Command("godel", "the formula asserting its own code's unprintability", (TRACE,),
                             _self_refuter),
     "lawvere": Command("lawvere", "diagonal and fixed-point report", TABLE + (
         arg("--alpha", default="identity",

@@ -2,10 +2,11 @@
 
 Each arc of an oriented diagram begins on one arc and ends on another, so
 the arcs serve simultaneously as the objects and the generating morphisms
-of a category: every object is a morphism.  The trefoil table cycles three
-arcs; the two-component link table makes each arc a self-morphism of the
-other.  Composition is free, so the category has more morphisms than
-objects, enumerable by word length.
+of a category: every object is a morphism, so every table that loads builds
+a reflexive category.  The trefoil table cycles three arcs; the
+two-component link table makes each arc a self-morphism of the other.
+Composition is free, so the category has more morphisms than objects,
+enumerable by word length.
 """
 
 from __future__ import annotations
@@ -73,24 +74,18 @@ def build(table: ArcTable) -> DiagramCategory:
     return DiagramCategory(Category(frozenset(table.arcs), gens))
 
 
-def _core_category(cat) -> Category:
-    if isinstance(cat, DiagramCategory):
-        return cat.category
-    return cat.base  # a CategoricalPair
+def is_reflexive(diagram: DiagramCategory) -> bool:
+    """Every object must be the name of a generating morphism that is not a sharp.
 
-
-def is_reflexive(cat) -> bool:
-    """Every object must be the name of a user-supplied generating morphism.
-
-    Auto-added sharp generators do not count, so digraph-built categories
-    are reflexive only when their edges happen to be named after the nodes.
+    True of every diagram ``build`` makes: each arc is both an object and a
+    generator, and ArcTable refuses a dangling endpoint.  Only a diagram over
+    another category, such as ``DiagramCategory(pair.base)``, can fail.
     """
-    core = _core_category(cat)
-    named = {g.name for g in core.generators if not g.is_sharp}
-    return all(obj in named for obj in core.objects)
+    named = {g.name for g in diagram.category.generators if not g.is_sharp}
+    return all(obj in named for obj in diagram.category.objects)
 
 
-def enumerate_composites(cat, max_len: int) -> set[Word]:
+def enumerate_composites(diagram: DiagramCategory, max_len: int) -> set[Word]:
     """All chainable generator words of length 1..max_len under free composition.
 
     Raises EnumerationCapExceeded before building a length whose words would
@@ -98,8 +93,7 @@ def enumerate_composites(cat, max_len: int) -> set[Word]:
     """
     if max_len < 1:
         raise InvalidDefinition("max_len must be at least 1")
-    core = _core_category(cat)
-    singles = [Word.from_generators((g,)) for g in core.generators if not g.is_sharp]
+    singles = [Word.from_generators((g,)) for g in diagram.category.generators if not g.is_sharp]
     into = Counter(g.cod for g in singles)  # object -> generators that end there
     frontier = singles
     words: set[Word] = set(frontier)

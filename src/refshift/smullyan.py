@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from .core import Category
 
 ALPHABET = "~PR[]"
-_FOREIGN = re.compile(f"[^{re.escape(ALPHABET)}]")
+FOREIGN = re.compile(f"[^{re.escape(ALPHABET)}]")  # one search finds a string's first foreign symbol
 
 
 def smullyan_category() -> Category:
@@ -92,7 +92,7 @@ def reference_arrow(s: str) -> RefArrow | None:
     claim = _claim(s)
     if claim is None:
         return None
-    foreign = _FOREIGN.search(s)
+    foreign = FOREIGN.search(s)
     if foreign:
         raise InvalidDefinition(f"unknown generator {foreign.group()!r}")
     subject, positive = claim

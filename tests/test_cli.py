@@ -445,6 +445,32 @@ def test_golden_output(key, capsys, golden_files):
         assert payload == {"status": "ok", "result": result, "trace": trace}
 
 
+# the actions of smullyan share one parser with report, which takes --trace; the other rows refuse it
+TRACE_REFUSED = ["violations", "godel-encode", "godel-decode", "godel-sharp", "godel-compose", "lawvere",
+                 "threeval", "lambda define", "lambda fixpoint", "lambda reduce", "reflexive build",
+                 "reflexive check", "reflexive enumerate"]
+
+
+def test_only_the_rows_that_build_a_derivation_take_trace():
+    assert {key for key, row in COMMANDS.items() if cli.TRACE in row.args} == set(TRACED)
+    shared = {key for key in COMMANDS if key.startswith("smullyan ")} - set(TRACED)
+    assert set(TRACE_REFUSED) == set(COMMANDS) - set(TRACED) - shared
+
+
+@pytest.mark.parametrize("key", TRACE_REFUSED)
+def test_trace_is_a_usage_error_where_no_derivation_is_built(key, capsys, golden_files):
+    argv = [a.format(**golden_files) for a in GOLDEN[key][0]] + ["--trace"]
+    assert assert_error(capsys, argv, "usage", 2) == "unrecognized arguments: --trace"
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --trace\n")
+
+
+def test_a_shared_parser_accepts_trace_and_prints_nothing_for_it(capsys):
+    for output in ([], ["--json"]):
+        plain = invoke(capsys, "smullyan", "classify", "~R~R", *output)
+        assert invoke(capsys, "smullyan", "classify", "~R~R", "--trace", *output) == plain
+
+
 # --- every failure is typed, and with --json it is an envelope ---
 
 
@@ -708,6 +734,7 @@ def _table(z, rows):
     return json.dumps({"elements": ["a", "b"], "z_elements": z, "rows": rows})
 
 
+NOT_LISTS = "table elements, z_elements, rows and each row must be JSON lists"
 # argv (FILE is a file holding text), text, then the error code and message; "ok" for a success
 FAILURES = {
     "table-without-rows": (["lawvere", "--table", "FILE"], '{"elements": ["a"], "z_elements": ["0"]}',
@@ -770,6 +797,16 @@ FAILURES = {
     "fuel-zero-no-steps": (["lambda", "reduce", "F", "--fuel", "0", "--steps", "0"], "", "ok", None),
     "fuel-zero-one-step": (["lambda", "reduce", "F", "--fuel", "0", "--steps", "1"], "",
                            "invalid-definition", "requested 1 steps but the fuel budget is 0"),
+    "model-string-outside-alphabet": (["violations", "--model", "FILE"], "RR\nP]Q\n",
+                                      "invalid-symbol", "model string 'P]Q' uses 'Q', outside ~PR[]"),
+    # a JSON string is not read as the list of its characters
+    "table-elements-string": (["lawvere", "--table", "FILE"],
+                              json.dumps({"elements": "ab", "z_elements": ["0", "1"], "rows": [["0", "1"]]}),
+                              "invalid-definition", NOT_LISTS),
+    "table-z-elements-string": (["threeval", "--table", "FILE"], _table("01J", [["J", "J"], ["J", "J"]]),
+                                "invalid-definition", NOT_LISTS),
+    "table-row-string": (ALPHA + ["negation"], _table(["0", "1"], ["01", "10"]),
+                         "invalid-definition", NOT_LISTS),
 }
 
 

@@ -2,7 +2,8 @@
 
 Each example picks a row of ``COMMANDS``, some of its arguments and values
 from a small bounded pool (bad numbers, odd digits, missing, binary and
-malformed files among them). Whatever the argv, the CLI must exit 0, 1 or 2,
+malformed files among them), and one time in ten ``--trace``, which most rows
+refuse as a usage error. Whatever the argv, the CLI must exit 0, 1 or 2,
 print no traceback, and with --json print exactly one envelope.
 """
 
@@ -73,6 +74,9 @@ def argvs(draw, files):
         # a positional is left out one time in ten, an option half the time
         if draw(st.integers(0, 9)) > 0 if flag[0] != "-" else draw(st.booleans()):
             argv += draw(values(flag, kwargs, files))
+    # one time in ten --trace, which only the rows that build a derivation (and their groups) accept
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--trace")
     return argv
 
 

@@ -1179,8 +1179,8 @@ def test_word_matches_the_generator_at_a_time_builder(data):
 
 
 def _lines_run(build):
-    """Lines run in refshift.core, refshift.runs and refshift.smullyan while build() runs."""
-    files = {core.__file__, runs.__file__, smullyan.__file__}
+    """Lines run in refshift.core, runs, smullyan and cli while build() runs."""
+    files = {core.__file__, runs.__file__, smullyan.__file__, cli.__file__}
     lines = 0
 
     def trace(frame, event, arg):
@@ -1224,3 +1224,13 @@ def test_building_and_printing_a_word_take_steps_per_run_not_per_generator():
     # counted, not clocked: the lines run must not grow with the generators in a run
     few = _word_work(10)
     assert all(few.values()) and _word_work(10_000) == few
+
+
+def test_loading_a_model_checks_each_string_in_one_search(tmp_path):
+    # counted, not clocked: the alphabet check must not loop over a model string's characters in Python
+    def lines(per_run):
+        path = tmp_path / f"model-{per_run}.txt"
+        path.write_text("".join(ch * per_run for ch in "P[~]R[") + "\nRR\n", encoding="utf-8")
+        return _lines_run(lambda: cli._load_model(smullyan, str(path)))
+
+    assert lines(10) == lines(10_000) > 0

@@ -8,6 +8,7 @@ from refshift.reflexive import (
     LINK,
     TREFOIL,
     ArcTable,
+    DiagramCategory,
     build,
     enumerate_composites,
     is_reflexive,
@@ -39,8 +40,8 @@ def test_reflexivity():
     assert is_reflexive(build(TREFOIL))
     assert is_reflexive(build(LINK))
     # a digraph category names objects differently from its generators
-    assert not is_reflexive(core.category_from_digraph(["X", "Y"], [("g", "X", "Y")]))
-    assert not is_reflexive(core.category_from_digraph(["X"], []))
+    assert not is_reflexive(DiagramCategory(core.category_from_digraph(["X", "Y"], [("g", "X", "Y")]).base))
+    assert not is_reflexive(DiagramCategory(core.category_from_digraph(["X"], []).base))
 
 
 def test_enumerate_trefoil_by_brute_force():
