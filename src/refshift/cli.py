@@ -438,8 +438,10 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     as_json = "--json" in argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args, extras = build_parser(argv).parse_known_args(argv)
         as_json = args.json
+        if extras:  # reported by the named command's parser, so its usage line is printed
+            args.usage_error(f"unrecognized arguments: {' '.join(extras)}")
         row = COMMANDS[f"{args.command} {args.action}" if "action" in args else args.command]
         missing = [n for n, _ in row.args if n[0] != "-" and getattr(args, n) is None]
         if missing:

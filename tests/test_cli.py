@@ -465,6 +465,18 @@ def test_trace_is_a_usage_error_where_no_derivation_is_built(key, capsys, golden
     assert (code, out) == (2, "") and err.endswith("error: unrecognized arguments: --trace\n")
 
 
+@pytest.mark.parametrize("argv,name,stray", [
+    (["godel-sharp", "34152", "--trace"], "godel-sharp", "--trace"),
+    (["--stray", "godel-sharp", "34152"], "godel-sharp", "--stray"),
+    (["lambda", "reduce", "g g", "extra"], "lambda", "extra"),
+])
+def test_an_unrecognized_argument_prints_the_named_commands_usage(capsys, argv, name, stray):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: refshift {name} [-h]")
+    assert err.endswith(f"refshift {name}: error: unrecognized arguments: {stray}\n")
+
+
 def test_a_shared_parser_accepts_trace_and_prints_nothing_for_it(capsys):
     for output in ([], ["--json"]):
         plain = invoke(capsys, "smullyan", "classify", "~R~R", *output)

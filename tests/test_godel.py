@@ -130,6 +130,66 @@ def test_value_matches_horner(runs):
     assert g.value() == horner_value(g.runs)
 
 
+SQUARE_BITS = godel._SQUARE_BITS
+POW5_MIN = godel._POW5_MIN
+
+
+def square_input(bits, kind, negative, seed):
+    """A bits-long int: random, all ones (carries through every limb) or two set bits (sparse limbs)."""
+    if kind == "ones":
+        x = (1 << bits) - 1
+    elif kind == "sparse":
+        x = 1 << (bits - 1) | 1
+    else:
+        x = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    return -x if negative else x
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(st.sampled_from([SQUARE_BITS - 1, SQUARE_BITS, SQUARE_BITS + 1]),
+              st.integers(1, 21).flatmap(lambda e: st.integers(2 ** (e - 1) + 1, 2**e))),
+    st.sampled_from(["random", "ones", "sparse"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+@example(SQUARE_BITS - 1, "random", False, 0)
+@example(SQUARE_BITS, "ones", True, 0)
+@example(4 * SQUARE_BITS + 3, "sparse", False, 0)
+@example(2**21, "random", True, 1)
+def test_toom4_square_is_the_builtin_square(bits, kind, negative, seed):
+    # the recursion squares negative evaluations such as p(-1), so the sign must not matter
+    x = square_input(bits, kind, negative, seed)
+    assert godel._square(x) == x * x
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(
+    st.tuples(st.integers(1, 7), st.one_of(st.integers(1, 9), st.integers(POW5_MIN - 64, 3 * POW5_MIN))),
+    min_size=1, max_size=4))
+@example([(6, POW5_MIN - 1)])
+@example([(6, POW5_MIN)])
+@example([(3, 1), (6, POW5_MIN + 1), (2, 1)])
+@example([(6, 60000)])
+@example([(3, 1), (4, 1), (1, 1), (7, 1), (6, 341752), (2, 1)])  # the self-refuter's runs
+@example([(6, 341752), (2, 1), (5, 200001)])
+def test_value_matches_horner_across_the_toom4_crossover(runs):
+    g = GodelNumber(normalize_runs(runs))
+    assert g.value() == horner_value(g.runs)
+
+
+def test_value_below_the_crossover_never_reaches_the_kernel(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the Toom-4 kernel was reached")
+
+    monkeypatch.setattr(godel, "_square", refuse)
+    monkeypatch.setattr(godel, "_pow5", refuse)
+    runs = ((3, 1), (6, POW5_MIN - 1), (2, 5), (5, 17))
+    assert GodelNumber(runs).value() == horner_value(runs)
+    with pytest.raises(AssertionError, match="kernel was reached"):
+        GodelNumber(((6, POW5_MIN),)).value()
+
+
 def test_value_past_the_materialize_cap_is_refused_before_any_power(monkeypatch):
     # 10**11 digits would take minutes to form; the refusal must not form a power first
     with pytest.raises(MaterializeTooLarge, match="a value of 99999999999 digits exceeds"):
