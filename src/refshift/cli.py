@@ -3,7 +3,9 @@
 Every subcommand is one row of ``COMMANDS``: its engine module, help, argument
 specs and a handler that takes the engine and the parsed arguments and returns
 ``(result dict, text lines[, derivation])``; a row takes --trace only if it
-returns a derivation.  Only ``run`` imports an engine, the row's, when it
+returns a derivation.  Each row has a parser of its own, under its group's
+for a grouped row, that takes that row's arguments after the command and
+no other.  Only ``run`` imports an engine, the row's, when it
 dispatches that row, so a command loads no other engine.
 
 Exit codes: 0 on success, 1 on a domain error or an unreadable file, 2 on a
@@ -50,7 +52,10 @@ def _read(path: str) -> str:
 
 
 def _pair(core, args) -> core.CategoricalPair:
-    pair = core.load_pair_text(_read(args.category)) if args.category else core.BUILTIN_PAIRS[args.base]()
+    if args.base and args.category:
+        args.usage_error("argument --category: not allowed with argument --base")
+    name = args.base or "simplest"
+    pair = core.load_pair_text(_read(args.category)) if args.category else core.BUILTIN_PAIRS[name]()
     base = pair.base
     if args.fuel is not None:
         base = core.Category(base.objects, base.generators, base.rules, args.fuel)
@@ -122,6 +127,8 @@ def _rewriter(fixpoint, args) -> fixpoint.Rewriter:
 
 
 def _diagram(reflexive, args) -> reflexive.DiagramCategory:
+    if args.builtin and args.table:
+        args.usage_error("argument --table: not allowed with argument --builtin")
     if args.builtin:
         table = reflexive.BUILTIN_TABLES[args.builtin]
     elif args.table:
@@ -217,8 +224,6 @@ def _arrow(smullyan, args):
 
 
 def _semantics(smullyan, args):
-    if not args.model:
-        raise InvalidDefinition("smullyan semantics needs --model FILE")
     value = smullyan.semantics(args.string, _load_model(smullyan, args.model))
     text = {True: "true", False: "false", None: "no-meaning"}[value]
     return {"string": args.string, "value": value}, [text]
@@ -336,12 +341,12 @@ DIAGRAMS = ("trefoil", "link")  # reflexive.BUILTIN_TABLES
 OUTPUT = (arg("--json", action="store_true", help="emit a JSON envelope"),)
 TRACE = arg("--trace", action="store_true", help="include the derivation trace")
 PAIR = (
-    arg("--base", choices=BASES, default="simplest", help="built-in base pair"),
+    arg("--base", choices=BASES, help="built-in base pair; simplest when no --category is given"),
     arg("--category", metavar="FILE", help="load the base pair from a file"),
     arg("--lambda-pair", action="store_true", help="treat self-morphisms a with #a = aa"),
     arg("--fuel", type=int, help="rewrite step budget"),
 )
-MODEL = {"metavar": "FILE", "help": "printable set, one string per line"}
+MODEL = arg("--model", metavar="FILE", required=True, help="printable set, one string per line")
 STRING = (arg("string"),)
 NUMBER = (
     arg("number", nargs="+", help="run-length tokens, e.g. 341 6x34152 2"),
@@ -351,9 +356,9 @@ TABLE = (arg("--table", metavar="FILE", required=True, help='JSON {"elements", "
 LAMBDA = (
     arg("term"),
     arg("--define", action="append", metavar="'name var = body'"),
-    arg("--steps", type=int, default=1),
     arg("--fuel", type=int, default=10_000),
 )
+STEPS = arg("--steps", type=int, default=1)
 DIAGRAM = (
     arg("--table", metavar="FILE", help="lines 'name: dom -> cod'"),
     arg("--builtin", choices=DIAGRAMS),
@@ -372,12 +377,10 @@ COMMANDS = {
     ), _iterate),
     "smullyan classify": Command("smullyan", "classify a machine string", STRING, _classify),
     "smullyan arrow": Command("smullyan", "its reference arrow", STRING, _arrow),
-    "smullyan semantics": Command("smullyan", "its truth value in --model",
-                                  STRING + (arg("--model", **MODEL),), _semantics),
+    "smullyan semantics": Command("smullyan", "its truth value in --model", STRING + (MODEL,), _semantics),
     "smullyan report": Command("smullyan", "the proof that ~R~R is true but unprintable", (TRACE,),
                                _report),
-    "violations": Command("smullyan", "printed falsehoods of a model",
-                          (arg("--model", required=True, **MODEL),), _violations),
+    "violations": Command("smullyan", "printed falsehoods of a model", (MODEL,), _violations),
     "godel-encode": Command("godel", "formula text to code number", (arg("text"),),
                             lambda godel, args: _number(godel.encode(godel.parse_compact(args.text)))),
     "godel-decode": Command("godel", "code number to formula", NUMBER, _godel_decode),
@@ -395,9 +398,10 @@ COMMANDS = {
     ), _lawvere),
     "threeval": Command("lawvere", "three-valued diagonal analysis", TABLE, _threeval),
     "lambda define": Command("fixpoint", "one definition 'name var = body'", LAMBDA, _define),
-    "lambda fixpoint": Command("fixpoint", "the fixed point of a term, unfolded --steps times", LAMBDA,
-                               _fixpoint),
-    "lambda reduce": Command("fixpoint", "normal-order reduction for --steps steps", LAMBDA, _reduce),
+    "lambda fixpoint": Command("fixpoint", "the fixed point of a term, unfolded --steps times",
+                               LAMBDA + (STEPS,), _fixpoint),
+    "lambda reduce": Command("fixpoint", "normal-order reduction for --steps steps", LAMBDA + (STEPS,),
+                             _reduce),
     "reflexive build": Command("reflexive", "the category's objects and generators", DIAGRAM, _build),
     "reflexive check": Command("reflexive", "whether the category is reflexive", DIAGRAM, _check),
     "reflexive enumerate": Command("reflexive", "composites of at most --max-len generators",
@@ -406,32 +410,32 @@ COMMANDS = {
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """One subparser per command, listed with its help, but only the first command argv names
-    gets arguments, and is built alone when argv starts with it. Rows that share a command share
-    its parser and are chosen by ``action``; other actions' positionals are optional, ``run`` checks them."""
     parser = _Parser(prog="refshift",
                      description="Categorical pairs, the indicative shift, and four self-reference engines.")
-    names = dict.fromkeys(key.partition(" ")[0] for key in COMMANDS)
+    _add_commands(parser, argv)
+    return parser
+
+
+def _add_commands(parser, argv, words=()):
+    """One subparser per command under words, listed with its help, but only the first command argv
+    names is built, and alone when argv starts with it: a row gets its arguments, a group its actions."""
+    names = dict.fromkeys(k.split()[len(words)] for k in COMMANDS if k.split()[:len(words)] == [*words])
     chosen = next((token for token in argv if token in names), None)
     alone = argv[:1] == [chosen]  # then the usage line still lists every command, as argparse would
-    sub = parser.add_subparsers(dest="command", required=True,
+    sub = parser.add_subparsers(dest="action" if words else "command", required=True,
                                 metavar="{" + ",".join(names) + "}" if alone else None)
     for name in [chosen] if alone else names:
-        rows = {k.partition(" ")[2]: row for k, row in COMMANDS.items() if k.partition(" ")[0] == name}
-        p = sub.add_parser(name, help=GROUPS.get(name) or rows[""].help)
+        key = " ".join((*words, name))
+        row = COMMANDS.get(key)
+        p = sub.add_parser(name, help=row.help if row else GROUPS[key])
         if name != chosen:
             continue
-        p.set_defaults(usage_error=p.error)
-        specs = {flag: kwargs for row in rows.values() for flag, kwargs in OUTPUT + row.args}
-        if "" not in rows:
-            p.add_argument("action", choices=list(rows),
-                           help="; ".join(f"{a}: {r.help}" for a, r in rows.items()))
-            # argparse takes the action with every optional positional, so the named action's stay required
-            own = next(({f for f, _ in rows[t].args} for t in argv if t in rows), ())
-            specs = {f: kw if f[0] == "-" or f in own else dict(kw, nargs="?") for f, kw in specs.items()}
-        for flag, kwargs in specs.items():
-            p.add_argument(flag, **kwargs)
-    return parser
+        if row is None:  # a group, whose actions follow the same rule
+            _add_commands(p, argv[argv.index(name) + 1:], (*words, name))
+        else:
+            p.set_defaults(row=row, usage_error=p.error)
+            for flag, kwargs in OUTPUT + row.args:
+                p.add_argument(flag, **kwargs)
 
 
 def run(argv=None) -> int:
@@ -439,13 +443,10 @@ def run(argv=None) -> int:
     as_json = "--json" in argv
     try:
         args, extras = build_parser(argv).parse_known_args(argv)
-        as_json = args.json
-        if extras:  # reported by the named command's parser, so its usage line is printed
+        as_json = args.json or "--json" in extras  # --json before the command or action is an extra
+        if extras:  # reported by the named row's parser, so its usage line is printed
             args.usage_error(f"unrecognized arguments: {' '.join(extras)}")
-        row = COMMANDS[f"{args.command} {args.action}" if "action" in args else args.command]
-        missing = [n for n, _ in row.args if n[0] != "-" and getattr(args, n) is None]
-        if missing:
-            args.usage_error(f"the following arguments are required: {', '.join(missing)}")
+        row = args.row
         # __import__, unlike importlib.import_module, shows in python -X importtime
         result, lines, *trace = row.run(__import__(f"{__package__}.{row.engine}", fromlist=["*"]), args)
     except SystemExit as exc:  # --help
@@ -459,7 +460,7 @@ def run(argv=None) -> int:
             sys.stderr.write(exc.usage if code == "usage" else f"error[{code}]: {exc}\n")
         return 2 if code == "usage" else 1
     trace = trace[0] if trace and args.trace else None
-    if args.json:
+    if as_json:
         envelope = {"status": "ok", "result": result}
         if trace is not None:
             envelope["trace"] = trace.to_json()

@@ -445,16 +445,15 @@ def test_golden_output(key, capsys, golden_files):
         assert payload == {"status": "ok", "result": result, "trace": trace}
 
 
-# the actions of smullyan share one parser with report, which takes --trace; the other rows refuse it
-TRACE_REFUSED = ["violations", "godel-encode", "godel-decode", "godel-sharp", "godel-compose", "lawvere",
-                 "threeval", "lambda define", "lambda fixpoint", "lambda reduce", "reflexive build",
-                 "reflexive check", "reflexive enumerate"]
+# every row has its own parser, so report's --trace is refused by the other smullyan actions too
+TRACE_REFUSED = ["smullyan classify", "smullyan arrow", "smullyan semantics", "violations", "godel-encode",
+                 "godel-decode", "godel-sharp", "godel-compose", "lawvere", "threeval", "lambda define",
+                 "lambda fixpoint", "lambda reduce", "reflexive build", "reflexive check", "reflexive enumerate"]
 
 
 def test_only_the_rows_that_build_a_derivation_take_trace():
     assert {key for key, row in COMMANDS.items() if cli.TRACE in row.args} == set(TRACED)
-    shared = {key for key in COMMANDS if key.startswith("smullyan ")} - set(TRACED)
-    assert set(TRACE_REFUSED) == set(COMMANDS) - set(TRACED) - shared
+    assert set(TRACE_REFUSED) == set(COMMANDS) - set(TRACED)
 
 
 @pytest.mark.parametrize("key", TRACE_REFUSED)
@@ -468,7 +467,7 @@ def test_trace_is_a_usage_error_where_no_derivation_is_built(key, capsys, golden
 @pytest.mark.parametrize("argv,name,stray", [
     (["godel-sharp", "34152", "--trace"], "godel-sharp", "--trace"),
     (["--stray", "godel-sharp", "34152"], "godel-sharp", "--stray"),
-    (["lambda", "reduce", "g g", "extra"], "lambda", "extra"),
+    (["lambda", "reduce", "g g", "extra"], "lambda reduce", "extra"),
 ])
 def test_an_unrecognized_argument_prints_the_named_commands_usage(capsys, argv, name, stray):
     code, out, err = invoke(capsys, *argv)
@@ -477,10 +476,71 @@ def test_an_unrecognized_argument_prints_the_named_commands_usage(capsys, argv, 
     assert err.endswith(f"refshift {name}: error: unrecognized arguments: {stray}\n")
 
 
-def test_a_shared_parser_accepts_trace_and_prints_nothing_for_it(capsys):
-    for output in ([], ["--json"]):
-        plain = invoke(capsys, "smullyan", "classify", "~R~R", *output)
-        assert invoke(capsys, "smullyan", "classify", "~R~R", "--trace", *output) == plain
+# argv, the parser whose usage is printed, and the start of its message: a group action takes only its
+# row's arguments, after the action, and an option's value before the action is read as the action
+REFUSED = [
+    (["smullyan", "report", "extra"], "smullyan report", "unrecognized arguments: extra"),
+    (["reflexive", "build", "--builtin", "link", "--max-len", "3"], "reflexive build",
+     "unrecognized arguments: --max-len 3"),
+    (["smullyan", "classify", "~R~R", "--model", "/no/such/file"], "smullyan classify",
+     "unrecognized arguments: --model /no/such/file"),
+    (["smullyan", "classify", "~R~R", "--trace"], "smullyan classify", "unrecognized arguments: --trace"),
+    (["lambda", "define", "q x = x", "--steps", "9"], "lambda define", "unrecognized arguments: --steps 9"),
+    (["smullyan", "semantics", "~R~R"], "smullyan semantics", "the following arguments are required: --model"),
+    (["lambda", "--steps", "2", "fixpoint", "F"], "lambda", "argument action: invalid choice: '2'"),
+    (["reflexive", "--builtin", "link", "enumerate"], "reflexive", "argument action: invalid choice: 'link'"),
+]
+
+
+@pytest.mark.parametrize("argv,name,message", REFUSED)
+def test_a_group_action_refuses_what_its_row_does_not_read(capsys, argv, name, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: refshift {name} [-h]")
+    assert f"\nrefshift {name}: error: {message}" in err
+    assert assert_error(capsys, argv, "usage", 2).startswith(message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "1_O -> 1_O", "--base", "russell", "--category", "FILE"],
+    ["srt1", "R -> ~ #", "--category", "FILE", "--base", "russell"],
+    ["iterate", "--n", "2", "--base", "simplest", "--category", "FILE"],
+])
+def test_a_pair_comes_from_one_source(capsys, tmp_path, argv):
+    pair = tmp_path / "pair.cat"
+    pair.write_text("object O\nsharp # : O\ngenerator R : O -> O\ngenerator ~ : O -> O\n")
+    argv = [str(pair) if a == "FILE" else a for a in argv]
+    message = "argument --category: not allowed with argument --base"
+    assert assert_error(capsys, argv, "usage", 2) == message
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(f"usage: refshift {argv[0]} [-h]")
+    # either source alone is read
+    assert invoke(capsys, *argv[:-2])[0] == invoke(capsys, *argv[:-4], *argv[-2:])[0] == 0
+
+
+def test_the_base_is_simplest_without_a_source(capsys):
+    for argv in (["shift", "1_O -> 1_O"], ["iterate", "--n", "3"]):
+        assert invoke(capsys, *argv) == invoke(capsys, *argv, "--base", "simplest")
+        assert invoke(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("action", ["build", "check", "enumerate"])
+def test_a_diagram_comes_from_one_source(capsys, action):
+    # the table is never opened: naming a missing file beside --builtin is a usage error, not io
+    argv = ["reflexive", action, "--builtin", "link", "--table", "/no/such/arcs.txt"]
+    assert assert_error(capsys, argv, "usage", 2) == "argument --table: not allowed with argument --builtin"
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(f"usage: refshift reflexive {action} [-h]")
+
+
+def test_json_before_the_command_is_one_usage_envelope(capsys):
+    for argv in (["--json", "shift", "1_O -> 1_O"], ["smullyan", "--json", "report"]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err, out.count("\n")) == (2, "", 1)
+        assert json.loads(out) == {"status": "error",
+                                   "result": {"code": "usage", "message": "unrecognized arguments: --json"}}
+    # after --, --json is a positional, so the run is a text run on the string --json
+    assert invoke(capsys, "smullyan", "classify", "--", "--json") == (0, "--json: not interpretable\n", "")
 
 
 # --- every failure is typed, and with --json it is an envelope ---
@@ -521,6 +581,23 @@ def test_the_parser_builds_the_arguments_of_the_named_command_only(capsys):
     help_text = capsys.readouterr().out
     assert help_text.startswith("usage: refshift shift [-h] [--json] [--trace]")
     assert invoke(capsys, "shift", "-h") == (0, help_text, "")
+
+
+def test_a_group_builds_the_arguments_of_the_named_action_only(capsys):
+    # every action is listed with its help, but only the named one is built, alone when it comes first
+    code, out, err = invoke(capsys, "smullyan", "-h")
+    assert (code, err) == (0, "")
+    listed = [line.split(None, 1) for line in out.splitlines()]
+    for key, row in COMMANDS.items():
+        if key.startswith("smullyan "):
+            assert [key.split()[1], row.help] in listed
+    parser = cli.build_parser(["smullyan", "classify"])
+    assert parser.parse_args(["smullyan", "classify", "~R~R"]).row is COMMANDS["smullyan classify"]
+    with pytest.raises(cli.UsageError, match="invalid choice") as refused:
+        parser.parse_args(["smullyan", "arrow", "~R~R"])
+    assert str(refused.value).partition("(choose from ")[2].strip("'\")") == "classify"
+    with pytest.raises(cli.UsageError, match="^unrecognized arguments: --model m.txt$"):
+        parser.parse_args(["smullyan", "classify", "~R~R", "--model", "m.txt"])
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -618,18 +695,20 @@ def test_two_category_flag_is_gone(capsys):
 
 
 @pytest.mark.parametrize("argv,canonical", [
-    (["smullyan", "--json", "report"], ["smullyan", "report", "--json"]),
-    (["smullyan", "report", "extra"], ["smullyan", "report"]),
-    (["reflexive", "--builtin", "link", "enumerate"], ["reflexive", "enumerate", "--builtin", "link"]),
-    (["reflexive", "build", "--builtin", "link", "--max-len", "3"],
-     ["reflexive", "build", "--builtin", "link"]),
-    (["lambda", "--steps", "2", "fixpoint", "F"], ["lambda", "fixpoint", "F", "--steps", "2"]),
+    (["smullyan", "report", "--trace", "--json"], ["smullyan", "report", "--json", "--trace"]),
+    (["reflexive", "enumerate", "--max-len", "3", "--builtin", "link"],
+     ["reflexive", "enumerate", "--builtin", "link", "--max-len", "3"]),
+    (["reflexive", "build", "--json", "--builtin", "trefoil"],
+     ["reflexive", "build", "--builtin", "trefoil", "--json"]),
+    (["lambda", "reduce", "--define", "q x = a ((b x) x)", "(q c)", "--json"],
+     ["lambda", "reduce", "(q c)", "--json", "--define", "q x = a ((b x) x)"]),
+    (["lambda", "fixpoint", "--steps", "2", "F"], ["lambda", "fixpoint", "F", "--steps", "2"]),
     # an option between the action and its positional
     (["smullyan", "classify", "--json", "~R~R"], ["smullyan", "classify", "~R~R", "--json"]),
     (["lambda", "reduce", "--steps", "2", "F"], ["lambda", "reduce", "F", "--steps", "2"]),
 ])
 def test_action_arguments_in_any_order(capsys, argv, canonical):
-    # one parser per command takes the options of all its actions, before or after the action
+    # a row's parser takes its options anywhere after the action, before or after its positional
     assert invoke(capsys, *argv) == invoke(capsys, *canonical)
     assert invoke(capsys, *argv)[0] == 0
 

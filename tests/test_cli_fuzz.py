@@ -3,8 +3,11 @@
 Each example picks a row of ``COMMANDS``, some of its arguments and values
 from a small bounded pool (bad numbers, odd digits, missing, binary and
 malformed files among them), and one time in ten ``--trace``, which most rows
-refuse as a usage error. Whatever the argv, the CLI must exit 0, 1 or 2,
-print no traceback, and with --json print exactly one envelope.
+refuse as a usage error. Now and then ``--json`` moves right after
+``refshift`` or after the group name, which a row's parser refuses, and one
+time in ten an argument of a sibling row joins the argv, refused unless the
+row takes that argument too. Whatever the argv, the CLI must exit 0, 1 or
+2, print no traceback, and with --json anywhere print exactly one envelope.
 """
 
 import contextlib
@@ -69,12 +72,23 @@ def values(flag, kwargs, files):
 @st.composite
 def argvs(draw, files):
     key = draw(st.sampled_from(sorted(COMMANDS)))
-    argv = key.split()
+    words = key.split()
+    argv = list(words)
     for flag, kwargs in OUTPUT + COMMANDS[key].args:
         # a positional is left out one time in ten, an option half the time
         if draw(st.integers(0, 9)) > 0 if flag[0] != "-" else draw(st.booleans()):
             argv += draw(values(flag, kwargs, files))
-    # one time in ten --trace, which only the rows that build a derivation (and their groups) accept
+    # one time in three --json goes before the command, or between a group and its action
+    if "--json" in argv and draw(st.integers(0, 2)) == 0:
+        argv.remove("--json")
+        argv.insert(draw(st.sampled_from(range(len(words)))), "--json")
+    # one time in ten an argument of a sibling row: of the same group, or of any other row
+    if draw(st.integers(0, 9)) == 0:
+        group = [k for k in COMMANDS if k != key and k.split()[0] == words[0]]
+        sibling = draw(st.sampled_from(group or sorted(set(COMMANDS) - {key})))
+        flag, kwargs = draw(st.sampled_from(COMMANDS[sibling].args))
+        argv += draw(values(flag, kwargs, files))
+    # one time in ten --trace, which only the rows that build a derivation accept
     if draw(st.integers(0, 9)) == 0:
         argv.append("--trace")
     return argv
